@@ -138,6 +138,14 @@ def cache_key(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def default_cache_dir() -> Path:
+    """``$REPRO_CACHE_DIR``, or ``~/.cache/repro-compile``."""
+    return Path(
+        os.environ.get("REPRO_CACHE_DIR")
+        or Path.home() / ".cache" / "repro-compile"
+    )
+
+
 class CompileCache:
     """One directory of JSON-serialized compilations.
 
@@ -162,11 +170,9 @@ class CompileCache:
     ):
         from repro.service.artifacts import ArtifactStore
 
-        if directory is None:
-            directory = os.environ.get("REPRO_CACHE_DIR") or (
-                Path.home() / ".cache" / "repro-compile"
-            )
-        self.directory = Path(directory)
+        self.directory = (
+            default_cache_dir() if directory is None else Path(directory)
+        )
         # -1 means "use the configured default"; None lifts the cap.
         self.max_bytes = default_max_bytes() if max_bytes == -1 else max_bytes
         self.hits = 0
@@ -396,8 +402,7 @@ def default_cache() -> Optional[CompileCache]:
         return None
     if (
         _default_cache is None
-        or str(_default_cache.directory)
-        != str(CompileCache().directory)
+        or _default_cache.directory != default_cache_dir()
     ):
         _default_cache = CompileCache()
     return _default_cache

@@ -24,9 +24,8 @@ from repro.sim.interp import Interpreter
 from repro.sim.memory import SimMemory
 
 
-#: Backends selectable via ``--sim-backend`` / ``REPRO_SIM_BACKEND``.
-#: ("translate", the per-function engine, stays reachable through the
-#: ``engine=`` parameter but is not part of the public backend matrix.)
+#: Backends selectable via ``backend=``, ``--sim-backend`` or
+#: ``REPRO_SIM_BACKEND``.
 SIM_BACKENDS = ("interp", "compiled")
 
 
@@ -43,17 +42,20 @@ def default_max_steps() -> int:
     return 200_000_000
 
 
+def _check_backend(value: str, source: str) -> str:
+    if value not in SIM_BACKENDS:
+        raise SimulationError(
+            f"bad {source} value {value!r} (want {'|'.join(SIM_BACKENDS)})"
+        )
+    return value
+
+
 def default_sim_backend() -> str:
     """The simulator backend: ``REPRO_SIM_BACKEND`` or ``interp``."""
     raw = os.environ.get("REPRO_SIM_BACKEND", "").strip().lower()
     if not raw:
         return "interp"
-    if raw not in SIM_BACKENDS:
-        raise SimulationError(
-            f"bad REPRO_SIM_BACKEND value {raw!r} "
-            f"(want {'|'.join(SIM_BACKENDS)})"
-        )
-    return raw
+    return _check_backend(raw, "REPRO_SIM_BACKEND")
 
 
 class Simulator:
@@ -61,19 +63,15 @@ class Simulator:
 
     ``backend`` picks the execution engine: ``interp`` (the reference
     interpreter) or ``compiled`` (the block-compiling direct-threaded
-    engine, bit-identical on all accounted quantities).  ``engine`` is
-    the older spelling of the same knob and additionally accepts
-    ``translate``; giving both and disagreeing is an error.  When
-    neither is given the ``REPRO_SIM_BACKEND`` environment default
-    applies.
+    engine, bit-identical on all accounted quantities).  When it is not
+    given the ``REPRO_SIM_BACKEND`` environment default applies.
 
     The compiled backend silently degrades to the interpreter whenever
     observation hooks are installed (``fault_hook``/``trace_hook``) or
     fault injection is active via ``REPRO_FAULTS`` — mirroring how
     alias-check elision auto-disables under chaos.  The decision is
     recorded in ``backend_requested`` / ``backend`` /
-    ``fallback_reason``.  The ``translate`` engine keeps its historical
-    strict behavior and raises instead.
+    ``fallback_reason``.
     """
 
     def __init__(
@@ -82,7 +80,6 @@ class Simulator:
         machine: MachineDescription,
         simulate_caches: bool = True,
         max_steps: Optional[int] = None,
-        engine: Optional[str] = None,
         fault_hook=None,
         trace_hook=None,
         backend: Optional[str] = None,
@@ -95,12 +92,10 @@ class Simulator:
         if max_steps is None:
             max_steps = default_max_steps()
         self.max_steps = max_steps
-        if engine is not None and backend is not None and engine != backend:
-            raise SimulationError(
-                f"conflicting engine selection: engine={engine!r} "
-                f"backend={backend!r}"
-            )
-        requested = backend or engine or default_sim_backend()
+        if backend is None:
+            requested = default_sim_backend()
+        else:
+            requested = _check_backend(backend, "backend")
         self.backend_requested = requested
         self.fallback_reason: Optional[str] = None
         resolved = requested
@@ -130,29 +125,7 @@ class Simulator:
                 trace_hook=trace_hook,
                 cancel=cancel,
             )
-        elif resolved == "translate":
-            if fault_hook is not None:
-                raise SimulationError(
-                    "fault_hook requires the 'interp' engine"
-                )
-            if trace_hook is not None:
-                raise SimulationError(
-                    "trace_hook requires the 'interp' engine"
-                )
-            if cancel is not None:
-                raise SimulationError(
-                    "cancel= requires the 'interp' or 'compiled' engine"
-                )
-            from repro.sim.translate import TranslatedEngine
-
-            self.engine = TranslatedEngine(
-                module,
-                machine,
-                memory=self.memory,
-                simulate_caches=simulate_caches,
-                max_steps=max_steps,
-            )
-        elif resolved == "compiled":
+        else:
             from repro.sim.translate import CompiledEngine
 
             self.engine = CompiledEngine(
@@ -164,8 +137,6 @@ class Simulator:
                 cancel=cancel,
                 block_cache=block_cache,
             )
-        else:
-            raise SimulationError(f"unknown engine {resolved!r}")
         self._arrays: Dict[str, int] = {}
         self._stagger_counter = 0
         # Host wall-clock spent inside call(), accumulated across calls;

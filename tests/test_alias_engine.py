@@ -29,7 +29,6 @@ from repro.analysis.manager import AnalysisManager, invalidate_after
 from repro.bench import workloads
 from repro.bench.programs import BENCHMARKS
 from repro.coalesce import check_hazards, classify_partitions, find_runs
-from repro.errors import SimulationError
 from repro.ir import parse_module
 from repro.pipeline import compile_minic
 from repro.sanitize import ERROR, WARNING, run_checkers
@@ -554,13 +553,6 @@ class TestTraceHook:
         assert events
         assert len(events) == sim.engine.stats.memory_accesses
         assert all(name == "blockstage" for name, _ in events)
-
-    def test_hook_requires_interp_engine(self):
-        program = compile_minic(BLOCKSTAGE_SOURCE, "alpha", "vpo")
-        with pytest.raises(SimulationError, match="interp"):
-            program.simulator(
-                engine="translate", trace_hook=lambda *a: None
-            )
 
 
 class TestElisionCaching:

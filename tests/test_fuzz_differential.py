@@ -87,15 +87,16 @@ def test_random_expression_programs(seed):
     results = {}
     for config in ("naive", "vpo"):
         program = compile_minic(source, "alpha", config)
-        for engine in ("interp", "translate"):
-            sim = Simulator(program.module, program.machine, engine=engine)
+        for backend in ("interp", "compiled"):
+            sim = Simulator(program.module, program.machine, backend=backend)
+            assert sim.backend == backend
             for a, b in inputs:
                 got = sim.call("f", a, b)
                 expected = oracle(a, b)
                 key = (a, b)
                 results.setdefault(key, got)
                 assert got == expected, (
-                    f"seed={seed} config={config} engine={engine} "
+                    f"seed={seed} config={config} backend={backend} "
                     f"inputs={key}:\n{source}"
                 )
                 assert got == results[key]

@@ -346,10 +346,11 @@ int spin(int n) {
 
 
 class TestWatchdog:
-    @pytest.mark.parametrize("engine", ["interp", "translate"])
-    def test_timeout_carries_context(self, engine):
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    def test_timeout_carries_context(self, backend):
         program = compile_minic(LOOP_FOREVER, "alpha", "vpo")
-        sim = program.simulator(max_steps=5_000, engine=engine)
+        sim = program.simulator(max_steps=5_000, backend=backend)
+        assert sim.backend == backend
         with pytest.raises(SimulationTimeout) as excinfo:
             sim.call("spin", 1)
         timeout = excinfo.value

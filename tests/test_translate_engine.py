@@ -1,5 +1,5 @@
-"""Differential tests: the translated engine must match the interpreter
-bit-for-bit, including dynamic counts."""
+"""Differential tests: the compiled engine (``repro.sim.translate``) must
+match the interpreter bit-for-bit, including dynamic counts."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.ir import parse_module
 from repro.machine import get_machine, lower_module
 from repro.pipeline import compile_minic
 from repro.sim import Simulator
-from repro.sim.translate import TranslatedEngine
+from repro.sim.translate import CompiledEngine
 from repro.sim.interp import Interpreter
 
 
@@ -17,7 +17,7 @@ def both_engines(text, machine_name="alpha"):
     machine = get_machine(machine_name)
     return (
         Interpreter(parse_module(text), machine),
-        TranslatedEngine(parse_module(text), machine),
+        CompiledEngine(parse_module(text), machine),
     )
 
 
@@ -85,7 +85,7 @@ class TestBasicEquivalence:
     def test_step_limit_in_translated_engine(self):
         machine = get_machine("alpha")
         module = parse_module("func f() {\nentry:\n    jump entry\n}")
-        engine = TranslatedEngine(module, machine, max_steps=500)
+        engine = CompiledEngine(module, machine, max_steps=500)
         with pytest.raises(SimulationError, match="step limit"):
             engine.call("f")
 
@@ -101,9 +101,10 @@ class TestProgramEquivalence:
         values_b = [(i * 5) % 32 - 16 for i in range(n)]
 
         results = []
-        for engine in ("interp", "translate"):
+        for backend in ("interp", "compiled"):
             sim = Simulator(compiled.module, compiled.machine,
-                            engine=engine)
+                            backend=backend)
+            assert sim.backend == backend
             a = sim.alloc_array("a", size=2 * n)
             b = sim.alloc_array("b", size=2 * n)
             sim.write_words(a, values_a, 2)
@@ -125,9 +126,10 @@ class TestProgramEquivalence:
         a_vals = [(i * 37) % 256 for i in range(n)]
         b_vals = [(i * 11) % 256 for i in range(n)]
         outputs = []
-        for engine in ("interp", "translate"):
+        for backend in ("interp", "compiled"):
             sim = Simulator(compiled.module, compiled.machine,
-                            engine=engine)
+                            backend=backend)
+            assert sim.backend == backend
             d = sim.alloc_array("d", size=n)
             a = sim.alloc_array("a", bytes(a_vals))
             b = sim.alloc_array("b", bytes(b_vals))
