@@ -15,7 +15,8 @@ Commands:
   bundle's source, bugpoint-style.
 * ``chaos FILES...`` — inject one fault into every pipeline stage in
   turn and verify each compilation recovers and still behaves like the
-  unoptimized baseline.
+  unoptimized baseline; ``chaos --fleet`` / ``--disk`` run the
+  service-level sweeps instead (all three live in :mod:`repro.chaos`).
 * ``serve`` — run the concurrent compile server on a local socket
   (bounded queue, deadlines, circuit breakers, degraded fallbacks).
 * ``submit FILE`` — send a compile (or, with ``--entry``, simulate)
@@ -693,264 +694,84 @@ def cmd_bisect(args) -> int:
     return 0 if result.culprit else 1
 
 
-#: Stages the chaos sweep plants one fault into, in pipeline order.
-CHAOS_SITES = (
-    "cleanup", "licm", "strength_reduce", "unroll",
-    "coalesce", "lower", "schedule",
-)
-
-
 def cmd_chaos(args) -> int:
-    """Fault-injection smoke: one planted fault per stage per file.
-
-    For every input file and every pipeline stage, compile under the
-    recovery policy with one fault injected into that stage, then check
-    (a) the compilation survived, (b) every fired fault was recovered
-    (and produced a bundle that replays), and (c) the degraded program
-    still behaves like the unoptimized baseline on the differential
-    sanitizer's fixtures.
-    """
-    import hashlib
-    import tempfile
-
+    """Run one chaos family — the pass sweep over FILES, or the
+    ``--fleet`` / ``--disk`` service sweep — and report its audit."""
+    from repro import chaos
     from repro.errors import ReproError
-    from repro.pipeline import compile_minic as compile_pipeline
-    from repro.resilience.bundle import replay_bundle
-    from repro.resilience.faults import FaultPlan
-    from repro.sanitize.differential import make_fixtures, run_fixture
 
-    if args.fleet:
-        return _fleet_chaos(args)
-    if args.disk:
-        return _disk_chaos(args)
-    if not args.files:
+    family = "fleet" if args.fleet else "disk" if args.disk else "pass"
+    if (family == "pass") != bool(args.files):
         print(
-            "error: chaos needs FILES (or --fleet / --disk for the "
-            "service-level sweeps)",
+            "error: chaos takes FILES for the pass sweep, or --fleet / "
+            "--disk (which drive their own workload) and no FILES",
             file=sys.stderr,
         )
         return 2
 
-    crash_dir = args.crash_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    problems = []
-    checked = recovered = 0
+    def stderr(message: str) -> None:
+        print(f"  {message}", file=sys.stderr)
 
-    for path in args.files:
-        with open(path) as handle:
-            source = handle.read()
-        try:
-            # An empty plan keeps a stray REPRO_FAULTS out of the baseline.
-            baseline = compile_pipeline(
-                source, args.machine, "naive", faults=FaultPlan()
-            )
-        except (ReproError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
-        fixtures = {
-            func.name: make_fixtures(func) for func in baseline.module
-        }
-        expected = {
-            name: [
-                run_fixture(baseline.module, name, baseline.machine, f)
-                for f in fixtures[name]
-            ]
-            for name in fixtures
-        }
-
-        for site in CHAOS_SITES:
-            # Deterministic kind choice: the seed decides raise vs
-            # corrupt per (file, site), so a sweep covers both.
-            digest = hashlib.sha256(
-                f"{args.seed}:{path}:{site}".encode()
-            ).digest()
-            kind = ("raise", "corrupt")[digest[0] % 2]
-            plan = FaultPlan.parse(f"{site}={kind}")
-            checked += 1
-            tag = f"{path}:{site}={kind}"
-            try:
-                program = compile_pipeline(
-                    source, args.machine, "coalesce-all",
-                    faults=plan, crash_dir=crash_dir,
-                    on_pass_failure=args.policy,
-                )
-            except Exception as exc:  # noqa: BLE001 — unrecovered = finding
-                problems.append(
-                    f"{tag}: UNRECOVERED {type(exc).__name__}: {exc}"
-                )
-                print(f"  {tag}: UNRECOVERED ({exc})", file=sys.stderr)
-                continue
-
-            notes = []
-            if plan.fired and not program.pass_failures:
-                notes.append("fault fired but no failure was recorded")
-            for failure in program.pass_failures:
-                if not failure.bundle:
-                    notes.append("no crash bundle was written")
-                    continue
-                replay = replay_bundle(failure.bundle)
-                if not replay.reproduced:
-                    notes.append(
-                        f"bundle {failure.bundle} did not replay"
-                    )
-            for name, outcomes in expected.items():
-                for fixture, want in zip(fixtures[name], outcomes):
-                    if want.status != "ok":
-                        continue  # inconclusive baseline
-                    got = run_fixture(
-                        program.module, name, program.machine, fixture
-                    )
-                    difference = want.diverges_from(got)
-                    if difference is not None:
-                        notes.append(
-                            f"behaviour diverged from baseline in "
-                            f"{name}{fixture.describe()}: {difference}"
-                        )
-                        break
-            if notes:
-                problems.extend(f"{tag}: {note}" for note in notes)
-                print(f"  {tag}: " + "; ".join(notes), file=sys.stderr)
-            else:
-                recovered += 1
-                if args.verbose:
-                    hit = "fired" if plan.fired else "did not fire"
-                    print(f"  {tag}: recovered ({hit})", file=sys.stderr)
-
-            if args.bisect:
-                for failure in program.pass_failures:
-                    if not failure.bundle:
-                        continue
-                    from repro.resilience.bisect import bisect_bundle
-                    from repro.resilience.bundle import load_bundle
-
-                    result = bisect_bundle(
-                        load_bundle(failure.bundle), reduce=True
-                    )
-                    if site not in result.culprit:
-                        problems.append(
-                            f"{tag}: bisect pinned {result.culprit} "
-                            f"instead of {site}"
-                        )
-                    elif args.verbose:
-                        print(
-                            f"  {tag}: bisect pinned "
-                            f"{', '.join(result.culprit)} in "
-                            f"{result.attempts} probes",
-                            file=sys.stderr,
-                        )
-
-    if args.json:
-        _emit_json({
-            "checked": checked,
-            "recovered": recovered,
-            "problems": problems,
-            "crash_dir": crash_dir,
-        })
-    else:
-        print(
-            f"chaos: {recovered}/{checked} injections fully recovered "
-            f"({len(problems)} problem(s)); bundles in {crash_dir}"
-        )
-        for problem in problems:
-            print(f"  {problem}")
-    return 1 if problems else 0
-
-
-def _fleet_chaos(args) -> int:
-    """``chaos --fleet``: SIGKILL/SIGSTOP fleet workers under a live
-    mixed workload and fail on any lost, hung, or untyped request."""
-    from repro.errors import ReproError
-    from repro.service.fleet import run_fleet_chaos
-
+    common = dict(
+        seed=args.seed,
+        crash_dir=args.crash_dir,
+        echo=stderr if args.verbose else None,
+    )
+    service = dict(
+        requests=args.requests,
+        workers=args.workers,
+        deadline=args.deadline,
+        kills=args.kills,
+        socket_path=args.socket,
+        run_dir=args.run_dir,
+    )
     try:
-        summary, problems = run_fleet_chaos(
-            requests=args.requests,
-            workers=args.workers,
-            seed=args.seed,
-            deadline=args.deadline,
-            kills=args.kills,
-            hangs=args.hangs,
-            socket_path=args.socket,
-            run_dir=args.run_dir,
-            crash_dir=args.crash_dir,
-            echo=(
-                (lambda m: print(f"  {m}", file=sys.stderr))
-                if args.verbose else None
-            ),
-        )
+        if family == "fleet":
+            summary, problems = chaos.run_fleet_chaos(
+                hangs=args.hangs, **service, **common
+            )
+        elif family == "disk":
+            summary, problems = chaos.run_disk_chaos(
+                rate=args.rate, lease_ttl=args.lease_ttl,
+                **service, **common
+            )
+        else:
+            summary, problems = chaos.run_pass_chaos(
+                args.files, machine=args.machine, policy=args.policy,
+                bisect=args.bisect, warn=stderr, **common
+            )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
         _emit_json({**summary, "problems": problems})
     else:
+        _print_chaos(family, summary, problems)
+    return 1 if problems else 0
+
+
+def _print_chaos(family: str, summary: dict, problems) -> None:
+    if family == "pass":
         print(
-            f"fleet chaos: {summary['answered']}/{summary['requests']} "
+            f"chaos: {summary['recovered']}/{summary['checked']} "
+            f"injections fully recovered ({len(problems)} problem(s)); "
+            f"bundles in {summary['crash_dir']}"
+        )
+    else:
+        print(
+            f"{family} chaos: {summary['answered']}/{summary['requests']} "
             f"requests answered, {summary['worker_restarts']} worker "
             f"restart(s), {summary['requeued']} requeue(s), "
             f"{summary['quarantined']} quarantine(s) "
             f"({len(problems)} problem(s)); "
             f"logs in {summary['run_dir']}"
         )
-        for status, count in summary["by_status"].items():
-            print(f"  {status}: {count}")
-        for problem in problems:
-            print(f"  PROBLEM: {problem}")
-    return 1 if problems else 0
-
-
-def _disk_chaos(args) -> int:
-    """``chaos --disk``: seeded disk faults against a shared artifact
-    cache under a live fleet; fail on any duplicate compile, corrupt
-    artifact served, lost request, or unmatched lease steal."""
-    from repro.errors import ReproError
-    from repro.service.fleet import run_disk_chaos
-
-    try:
-        summary, problems = run_disk_chaos(
-            requests=args.requests,
-            workers=args.workers,
-            seed=args.seed,
-            deadline=args.deadline,
-            kills=args.kills,
-            rate=args.rate,
-            socket_path=args.socket,
-            run_dir=args.run_dir,
-            crash_dir=args.crash_dir,
-            lease_ttl=args.lease_ttl,
-            echo=(
-                (lambda m: print(f"  {m}", file=sys.stderr))
-                if args.verbose else None
-            ),
-        )
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _emit_json({**summary, "problems": problems})
-    else:
-        cache = summary["cache"]
-        print(
-            f"disk chaos: {summary['answered']}/{summary['requests']} "
-            f"requests answered, {summary['worker_restarts']} worker "
-            f"restart(s) ({len(problems)} problem(s)); "
-            f"logs in {summary['run_dir']}"
-        )
-        print(
-            f"  cache: {cache['publishes']} publish(es), "
-            f"{cache['dedup_hits']} dedup hit(s), "
-            f"{cache['steals']} steal(s), "
-            f"{cache['corruption_drops']} corruption drop(s), "
-            f"{cache['torn_publishes']} torn, "
-            f"{cache['fenced_publishes']} fenced, "
-            f"{cache['disk_errors']} disk error(s), "
-            f"{cache['fallbacks']} fallback(s), "
-            f"{cache['faults_injected']} fault(s) injected"
-        )
-        for status, count in summary["by_status"].items():
-            print(f"  {status}: {count}")
-        for problem in problems:
-            print(f"  PROBLEM: {problem}")
-    return 1 if problems else 0
+    if family == "disk":
+        _print_journal(summary["cache"])
+    for status, count in summary.get("by_status", {}).items():
+        print(f"  {status}: {count}")
+    for problem in problems:
+        print(f"  PROBLEM: {problem}")
 
 
 def cmd_serve(args) -> int:
@@ -1232,24 +1053,29 @@ def cmd_cache(args) -> int:
         print(f"  bytes:     {stats['bytes']}")
         print(f"  max bytes: {cap if cap is not None else 'unlimited'}")
         print(f"  lease ttl: {stats['lease_ttl']:g}s")
-        # The durable journal's fleet-wide view: dedup_hits are reads
-        # that saved another process's compile; steals are crashed or
-        # stalled holders whose lease a waiter took over.
-        print(
-            f"  journal:   {stats['log_hits']} hit(s), "
-            f"{stats['dedup_hits']} dedup, "
-            f"{stats['compiles']} compile(s), "
-            f"{stats['publishes']} publish(es)"
-        )
-        print(
-            f"  incidents: {stats['steals']} steal(s), "
-            f"{stats['fenced_publishes']} fenced, "
-            f"{stats['torn_publishes']} torn, "
-            f"{stats['corruption_drops']} corruption drop(s), "
-            f"{stats['disk_errors']} disk error(s), "
-            f"{stats['fallbacks']} fallback(s)"
-        )
+        _print_journal(stats)
     return 0
+
+
+def _print_journal(counters: dict) -> None:
+    """An artifact store's journal counters.  ``dedup_hits`` are reads
+    that saved another process's compile; steals are crashed or stalled
+    holders whose lease a waiter took over."""
+    print(
+        f"  journal:   {counters['log_hits']} hit(s), "
+        f"{counters['dedup_hits']} dedup, "
+        f"{counters['compiles']} compile(s), "
+        f"{counters['publishes']} publish(es)"
+    )
+    print(
+        f"  incidents: {counters['steals']} steal(s), "
+        f"{counters['fenced_publishes']} fenced, "
+        f"{counters['torn_publishes']} torn, "
+        f"{counters['corruption_drops']} corruption drop(s), "
+        f"{counters['disk_errors']} disk error(s), "
+        f"{counters['fallbacks']} fallback(s), "
+        f"{counters['faults_injected']} fault(s) injected"
+    )
 
 
 def cmd_machines(args) -> int:
@@ -1482,20 +1308,23 @@ def main(argv=None) -> int:
     )
     p_chaos.add_argument(
         "files", nargs="*",
-        help="MiniC source files (not used with --fleet)",
+        help="MiniC source files for the pass sweep (not used with "
+             "--fleet or --disk)",
     )
     p_chaos.add_argument(
         "--seed", type=int, default=0,
-        help="decides raise-vs-corrupt per (file, stage); the sweep is "
+        help="decides raise-vs-corrupt per (file, stage), or the "
+             "--fleet/--disk workload and fault plan; the sweep is "
              "fully reproducible from this value",
     )
-    p_chaos.add_argument(
+    family = p_chaos.add_mutually_exclusive_group()
+    family.add_argument(
         "--fleet", action="store_true",
         help="fleet-level sweep instead: SIGKILL/SIGSTOP worker "
              "processes under a live mixed workload and assert zero "
              "lost requests",
     )
-    p_chaos.add_argument(
+    family.add_argument(
         "--disk", action="store_true",
         help="disk-fault sweep instead: batter a shared artifact "
              "cache (torn writes, corrupt artifacts, silent leases, "
@@ -1514,15 +1343,18 @@ def main(argv=None) -> int:
     )
     p_chaos.add_argument(
         "--requests", type=int, default=100,
-        help="--fleet: mixed-workload requests to drive (default 100)",
+        help="--fleet/--disk: mixed-workload requests to drive "
+             "(default 100)",
     )
     p_chaos.add_argument(
         "--workers", type=int, default=4,
-        help="--fleet: worker processes in the fleet (default 4)",
+        help="--fleet/--disk: worker processes in the fleet "
+             "(default 4)",
     )
     p_chaos.add_argument(
         "--deadline", type=float, default=10.0,
-        help="--fleet: per-request deadline in seconds (default 10)",
+        help="--fleet/--disk: per-request deadline in seconds "
+             "(default 10)",
     )
     p_chaos.add_argument(
         "--kills", type=int, default=3,
@@ -1535,11 +1367,12 @@ def main(argv=None) -> int:
     )
     p_chaos.add_argument(
         "--socket", default=None,
-        help="--fleet: fleet socket path (default: a fresh temp path)",
+        help="--fleet/--disk: fleet socket path (default: a fresh "
+             "temp path)",
     )
     p_chaos.add_argument(
         "--run-dir", default=None,
-        help="--fleet: directory for worker sockets and logs",
+        help="--fleet/--disk: directory for worker sockets and logs",
     )
     p_chaos.add_argument(
         "--machine", default="alpha", choices=sorted(MACHINE_NAMES),

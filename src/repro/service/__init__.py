@@ -33,8 +33,11 @@ service:
   published by fsync + link-once, a lease-based cross-process
   single-flight protocol (heartbeats, staleness detection, fenced
   steals), a durable event journal behind the ``dedup``/``steal``/
-  ``corruption`` counters, and the seeded disk-fault hooks that
-  ``python -m repro chaos --disk`` drives.
+  ``corruption`` counters, and the seeded disk-fault hooks.
+
+The chaos harnesses that drive the fleet and disk fault hooks and audit
+the contracts above live outside this package, in :mod:`repro.chaos`
+(``python -m repro chaos --fleet`` / ``--disk``).
 """
 
 from repro.service.artifacts import ArtifactStore, Lease
@@ -44,11 +47,7 @@ from repro.service.breaker import (
     CircuitBreaker,
 )
 from repro.service.client import ServiceClient, ServiceUnavailable
-from repro.service.fleet import (
-    FleetSupervisor,
-    run_disk_chaos,
-    run_fleet_chaos,
-)
+from repro.service.fleet import FleetSupervisor
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     RETRYABLE_STATUSES,
@@ -74,6 +73,4 @@ __all__ = [
     "ServiceUnavailable",
     "Worker",
     "default_socket_path",
-    "run_disk_chaos",
-    "run_fleet_chaos",
 ]

@@ -17,6 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import (
+    build_chaos_plan,
+    build_chaos_workload,
+    run_disk_chaos,
+    run_fleet_chaos,
+)
 from repro.errors import ReproError
 from repro.resilience import FLEET_FAULT_KINDS, FaultPlan, FaultSpec
 from repro.resilience.bundle import (
@@ -25,14 +31,7 @@ from repro.resilience.bundle import (
     write_quarantine_bundle,
 )
 from repro.service.client import ServiceClient, wait_until_ready
-from repro.service.fleet import (
-    FleetSupervisor,
-    build_chaos_plan,
-    build_chaos_workload,
-    run_fleet_chaos,
-    shard_index,
-    shard_key,
-)
+from repro.service.fleet import FleetSupervisor, shard_index, shard_key
 from repro.service.supervisor import (
     WORKER_UP,
     restart_backoff,
@@ -197,6 +196,29 @@ class TestChaosPlanning:
         assert any(
             request["deadline"] < 10.0 for request in workload
         )
+
+    @pytest.mark.parametrize("cold, warm, flagged", [
+        # Healthy: one cold compile published, the warm round hit.
+        ({"compile": 1, "publish": 1}, {"compile": 1, "publish": 1}, ()),
+        # Broken dedup: every cold racer compiled.
+        ({"compile": 4, "publish": 1}, {"compile": 4, "publish": 1},
+         ("cold",)),
+        # A published key compiled again with nothing to excuse it.
+        ({"compile": 1, "publish": 1}, {"compile": 2, "publish": 1},
+         ("warm",)),
+        # A corrupt artifact dropped in the warm round excuses one
+        # recompile.
+        ({"compile": 1, "publish": 1},
+         {"compile": 2, "publish": 2, "corrupt-drop": 1}, ()),
+    ])
+    def test_squad_audit_flags_duplicate_compiles(self, cold, warm, flagged):
+        from repro.chaos import _audit_squad
+
+        problems = []
+        _audit_squad("k" * 12, cold, warm, 4, problems)
+        assert len(problems) == len(flagged), problems
+        for which, problem in zip(flagged, problems):
+            assert which in problem
 
 
 # -- quarantine bundles ------------------------------------------------------
@@ -607,3 +629,26 @@ class TestFleetChaosAcceptance:
         # The supervisor log is the post-mortem artifact CI uploads.
         log_text = Path(summary["supervisor_log"]).read_text()
         assert "spawned pid" in log_text
+
+
+class TestDiskChaosAcceptance:
+    """The disk sweep's bar, as the CI ``chaos-disk`` job asserts it: a
+    shared artifact store under worker SIGKILLs and seeded disk faults
+    — no problems, every request answered, and both the dedup and the
+    lease-steal paths actually engaged."""
+
+    def test_forty_requests_with_kills_and_disk_faults(self, tmp_path):
+        summary, problems = run_disk_chaos(
+            requests=40,
+            workers=3,
+            seed=1,
+            deadline=20.0,
+            kills=2,
+            run_dir=str(tmp_path / "disk-run"),
+            crash_dir=str(tmp_path / "disk-crashes"),
+        )
+        assert problems == [], (problems, summary)
+        assert summary["answered"] == 40
+        cache = summary["cache"]
+        assert cache["dedup_hits"] > 0, cache
+        assert cache["steals"] >= 1, cache

@@ -521,6 +521,16 @@ class TestResilienceCLI:
         assert code == 0
         assert "fully recovered (0 problem(s))" in captured.out
 
+        # Contradictory input is a usage error (exit 2), never a
+        # silently narrowed sweep.
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--fleet", "--disk"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        for flag in ("--fleet", "--disk"):
+            assert main(["chaos", str(source), flag]) == 2
+            assert "no FILES" in capsys.readouterr().err
+
     def test_run_max_steps_flag(self, tmp_path, capsys):
         from repro.__main__ import main
 
