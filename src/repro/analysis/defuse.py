@@ -13,7 +13,7 @@ is the usual ``(block_label, instr_index)`` pair of
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.analysis.reaching import DefSite, ReachingDefs, \
     reaching_definitions
@@ -38,20 +38,28 @@ class DefUseChains:
         self.defs_for = defs_for
 
 
-def def_use_chains(func: Function) -> DefUseChains:
-    """Build def-use and use-def chains in one pass over ``func``."""
-    reaching = reaching_definitions(func)
+def def_use_chains(
+    func: Function, regs: Optional[AbstractSet[int]] = None
+) -> DefUseChains:
+    """Build def-use and use-def chains in one pass over ``func``.
+
+    With ``regs``, only the uses and definitions of those registers are
+    chained (see :func:`repro.analysis.reaching.reaching_definitions`).
+    """
+    reaching = reaching_definitions(func, regs)
+    blocks = {block.label: block for block in func.blocks}
     uses_of: Dict[DefSite, List[UseSite]] = {}
     defs_for: Dict[UseSite, Tuple[DefSite, ...]] = {}
     for label in reaching.reach_in:
-        block = func.block(label)
         current: Dict[int, Tuple[DefSite, ...]] = dict(
             reaching._incoming(label)
         )
-        for index, instr in enumerate(block.instrs):
+        for index, instr in enumerate(blocks[label].instrs):
             seen = set()
             for reg in instr.uses():
-                if reg.index in seen:
+                if reg.index in seen or (
+                    regs is not None and reg.index not in regs
+                ):
                     continue
                 seen.add(reg.index)
                 sites = current.get(reg.index, ())

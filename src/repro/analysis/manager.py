@@ -1,12 +1,14 @@
 """The analysis manager: caching with pass-level invalidation.
 
-Every pass in the cleanup fixpoint used to recompute its dataflow from
-scratch — ROADMAP's profile showed ``cleanup``/``global_const_prop``
-spending ~95% of compile time rebuilding reaching definitions the
-previous pass had already built.  The manager memoizes analyses per
-function; a pass that changes a function reports which analyses it
-*preserves* (via a ``preserves`` attribute on the pass callable, a set of
-analysis names) and the manager drops everything else.
+The manager memoizes analyses per function; a pass that changes a
+function reports which analyses it *preserves* (via a ``preserves``
+attribute on the pass callable, a set of analysis names) and the manager
+drops everything else.  The coalescer reads the alias engine's summary
+(``memdep``) through it.  The scalar cleanup fixpoint does not: nearly
+every cleanup pass invalidates the dataflow, so ``global_const_prop``
+builds its own def-use chains, restricted to the registers that can hold
+a constant (see :mod:`repro.opt.global_const`), and ``run_to_fixpoint``
+skips passes whose last run was a no-op.
 
 Registered analyses:
 

@@ -16,7 +16,7 @@ the old ``O(instructions²)``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfgutil import predecessors, reachable_labels, \
     reverse_postorder
@@ -33,18 +33,16 @@ class ReachingDefs:
         func: Function,
         reach_in: Dict[str, Set[DefSite]],
         defs_of: Dict[int, Set[DefSite]],
+        block_defs: Dict[str, Dict[int, List[int]]],
+        site_regs: Dict[DefSite, Tuple[int, ...]],
     ):
         self.func = func
         self.reach_in = reach_in
         self.defs_of = defs_of
         # label -> reg index -> sorted instruction positions defining it.
-        self._block_defs: Dict[str, Dict[int, List[int]]] = {}
-        for label in reach_in:
-            per_reg: Dict[int, List[int]] = {}
-            for index, instr in enumerate(func.block(label).instrs):
-                for reg in instr.defs():
-                    per_reg.setdefault(reg.index, []).append(index)
-            self._block_defs[label] = per_reg
+        self._block_defs = block_defs
+        # def site -> the registers it defines.
+        self._site_regs = site_regs
         # label -> reg index -> sites from reach_in defining that reg
         # (built lazily; most blocks are never queried).
         self._in_by_reg: Dict[str, Dict[int, Tuple[DefSite, ...]]] = {}
@@ -55,10 +53,8 @@ class ReachingDefs:
             return cached
         grouped: Dict[int, List[DefSite]] = {}
         for site in self.reach_in.get(label, ()):
-            site_label, position = site
-            instr = self.func.block(site_label).instrs[position]
-            for reg in instr.defs():
-                grouped.setdefault(reg.index, []).append(site)
+            for reg_index in self._site_regs[site]:
+                grouped.setdefault(reg_index, []).append(site)
         frozen = {reg: tuple(sites) for reg, sites in grouped.items()}
         self._in_by_reg[label] = frozen
         return frozen
@@ -84,34 +80,52 @@ class ReachingDefs:
         return None
 
 
-def reaching_definitions(func: Function) -> ReachingDefs:
-    """Solve the forward reaching-definitions dataflow problem."""
+def reaching_definitions(
+    func: Function, regs: Optional[AbstractSet[int]] = None
+) -> ReachingDefs:
+    """Solve the forward reaching-definitions dataflow problem.
+
+    With ``regs``, only definitions of those registers are tracked and
+    only they may be queried.  The restriction is exact: which
+    definitions of ``r`` reach a point depends only on the definitions
+    of ``r``.
+    """
     reachable = reachable_labels(func)
     order = [l for l in reverse_postorder(func) if l in reachable]
     labels_set = set(order)
     preds = predecessors(func)
+    blocks = {block.label: block for block in func.blocks}
 
     # Number every definition site; per-register masks give kill sets.
     sites: List[DefSite] = []
+    site_regs: Dict[DefSite, Tuple[int, ...]] = {}
     defs_of: Dict[int, Set[DefSite]] = {}
+    block_defs: Dict[str, Dict[int, List[int]]] = {}
     reg_mask: Dict[int, int] = {}
     gen_mask: Dict[str, int] = {}
     kill_regs: Dict[str, List[int]] = {}
     for label in order:
-        block = func.block(label)
+        per_reg: Dict[int, List[int]] = {}
         last_def: Dict[int, int] = {}  # reg -> site number
-        for index, instr in enumerate(block.instrs):
-            regs = instr.defs()
-            if not regs:
+        for index, instr in enumerate(blocks[label].instrs):
+            defined = tuple(
+                reg.index for reg in instr.defs()
+                if regs is None or reg.index in regs
+            )
+            if not defined:
                 continue
             number = len(sites)
-            sites.append((label, index))
-            for reg in regs:
-                defs_of.setdefault(reg.index, set()).add((label, index))
-                reg_mask[reg.index] = reg_mask.get(reg.index, 0) | (
+            site = (label, index)
+            sites.append(site)
+            site_regs[site] = defined
+            for reg_index in defined:
+                defs_of.setdefault(reg_index, set()).add(site)
+                reg_mask[reg_index] = reg_mask.get(reg_index, 0) | (
                     1 << number
                 )
-                last_def[reg.index] = number
+                last_def[reg_index] = number
+                per_reg.setdefault(reg_index, []).append(index)
+        block_defs[label] = per_reg
         gen_mask[label] = 0
         for number in last_def.values():
             gen_mask[label] |= 1 << number
@@ -142,7 +156,7 @@ def reaching_definitions(func: Function) -> ReachingDefs:
         label: _sites_from_mask(sites, bits)
         for label, bits in reach_in_bits.items()
     }
-    return ReachingDefs(func, reach_in, defs_of)
+    return ReachingDefs(func, reach_in, defs_of, block_defs, site_regs)
 
 
 def _union_masks(reg_mask: Dict[int, int], regs: List[int]) -> int:
@@ -153,11 +167,10 @@ def _union_masks(reg_mask: Dict[int, int], regs: List[int]) -> int:
 
 
 def _sites_from_mask(sites: List[DefSite], bits: int) -> Set[DefSite]:
+    """The sites whose bits are set, added in ascending site order."""
     result: Set[DefSite] = set()
-    number = 0
     while bits:
-        if bits & 1:
-            result.add(sites[number])
-        bits >>= 1
-        number += 1
+        low = bits & -bits
+        result.add(sites[low.bit_length() - 1])
+        bits ^= low
     return result

@@ -9,7 +9,7 @@ at *different* addresses, which CSE cannot touch (§2.1 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.function import Function
 from repro.ir.rtl import (
@@ -82,68 +82,67 @@ def local_cse(func: Function, ctx: PassContext) -> bool:
     changed = False
     for block in func.blocks:
         available: Dict[Tuple, Reg] = {}
+        # Reverse index: register -> keys that read it or whose result
+        # it is, plus every load key added.  An entry goes stale when its
+        # key is dropped through another register and re-added with a
+        # new result, so a kill checks the key again before dropping it.
+        listed: Dict[int, Set[Tuple]] = {}
+        loads: Set[Tuple] = set()
+
+        def kill(defined: List[int]) -> None:
+            """Drop entries whose inputs or result were redefined."""
+            for reg_index in defined:
+                for k in listed.pop(reg_index, ()):
+                    result = available.get(k)
+                    if result is not None and (
+                        result.index == reg_index
+                        or reg_index in _key_registers(k)
+                    ):
+                        del available[k]
+
         new_instrs = []
         for instr in block.instrs:
             key = _expression_key(instr)
-            # Never rewrite a self-referencing computation like
-            # ``i = add i, 1`` into a copy: it costs nothing and hides
-            # the induction variable from the loop analyses.
-            if key is not None and any(
-                _key_reads(key, {r.index}) for r in instr.defs()
-            ):
-                new_instrs.append(instr)
-                defined = {r.index for r in instr.defs()}
-                stale = [
-                    k
-                    for k, result in available.items()
-                    if result.index in defined or _key_reads(k, defined)
-                ]
-                for k in stale:
-                    available.pop(k, None)
-                continue
-            if key is not None and key in available:
-                # Reuse the earlier result.
-                replacement = Mov(instr.defs()[0], available[key])
-                new_instrs.append(replacement)
-                changed = True
-                instr = replacement
-                key = None  # a Mov adds nothing to the table
-            else:
-                new_instrs.append(instr)
-
-            # Invalidate entries whose inputs or results were redefined.
-            defined = {r.index for r in instr.defs()}
-            if defined:
-                stale = [
-                    k
-                    for k, result in available.items()
-                    if result.index in defined or _key_reads(k, defined)
-                ]
-                for k in stale:
-                    available.pop(k, None)
+            defined = [r.index for r in instr.defs()]
+            if key is not None:
+                reads = _key_registers(key)
+                # Never rewrite a self-referencing computation like
+                # ``i = add i, 1`` into a copy: it costs nothing and
+                # hides the induction variable from the loop analyses.
+                # Its inputs are stale once it runs, so it is not
+                # recorded either.
+                if any(d in reads for d in defined):
+                    new_instrs.append(instr)
+                    kill(defined)
+                    continue
+                if key in available:
+                    # Reuse the earlier result.
+                    instr = Mov(instr.defs()[0], available[key])
+                    changed = True
+                    key = None  # a Mov adds nothing to the table
+            new_instrs.append(instr)
+            kill(defined)
             if isinstance(instr, (Store, Call)):
-                for k in [k for k in available if k[0] == "load"]:
-                    available.pop(k)
-
-            # Record the new expression unless it reads its own result
-            # (e.g. ``r4 = add r4, 1``), whose inputs are already stale.
-            if key is not None and not _key_reads(key, defined):
-                available[key] = instr.defs()[0]
+                for k in loads:
+                    available.pop(k, None)
+                loads.clear()
+            if key is not None:
+                result = instr.defs()[0]
+                available[key] = result
+                for reg_index in reads + (result.index,):
+                    listed.setdefault(reg_index, set()).add(key)
+                if key[0] == "load":
+                    loads.add(key)
         block.instrs = new_instrs
     return changed
 
 
-def _key_reads(key: Tuple, reg_indices: set) -> bool:
-    """Whether any register operand baked into ``key`` was redefined."""
-    for part in key:
-        if (
-            isinstance(part, tuple)
-            and len(part) == 2
-            and part[0] == "r"
-            and part[1] in reg_indices
-        ):
-            return True
-    return False
+def _key_registers(key: Tuple) -> Tuple[int, ...]:
+    """The registers whose values ``key`` reads."""
+    return tuple(
+        part[1] for part in key
+        if isinstance(part, tuple) and part[0] == "r"
+    )
 
 
 #: Block-local rewrites only — the dominator tree survives.

@@ -5,16 +5,19 @@ zeroed in the entry block and consumed in a loop preheader; this pass
 closes that gap: a use is replaced when *every* definition reaching it
 moves the same constant.
 
-The engine is a sparse worklist over the cached def-use chains
-(:mod:`repro.analysis.defuse`, via the context's
-:class:`repro.analysis.manager.AnalysisManager`): constant-moving
-definitions seed the worklist, each one visits only its recorded uses,
-and a copy whose source collapses to a constant re-enters the worklist —
-so a whole chain ``a = 3; b = a; c = b`` retires in one invocation
-instead of one fixpoint round per link.  The old implementation re-solved
-reaching definitions and re-walked a block prefix per use
-(``O(instructions²)``); this one touches each use a constant number of
-times.
+The engine is a sparse worklist over def-use chains
+(:mod:`repro.analysis.defuse`) built only over the registers that can
+hold a constant: destinations of a constant move, closed under
+register-to-register copies.  Reaching definitions of a register depend
+only on that register's definitions, so the restriction is exact, and a
+function with no constant moves is left without building anything.
+The pass builds its own chains instead of asking the context's
+:class:`repro.analysis.manager.AnalysisManager`: every other cleanup pass
+invalidates the cached ones, so they were almost never reused.
+Constant-moving definitions seed the worklist, each one visits only its
+recorded uses, and a copy whose source collapses to a constant re-enters
+the worklist — so a whole chain ``a = 3; b = a; c = b`` retires in one
+invocation instead of one fixpoint round per link.
 
 When a merge of *conflicting* constants blocks propagation the pass
 reports a note through ``ctx.sink`` (when the sanitizer is listening), so
@@ -25,7 +28,7 @@ points that decided what it did and did not rewrite.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Set
+from typing import Dict, List, Set
 
 from repro.analysis.defuse import DefUseChains, def_use_chains
 from repro.ir.function import Function
@@ -34,11 +37,11 @@ from repro.opt.pass_manager import PassContext
 
 
 def global_const_prop(func: Function, ctx: PassContext) -> bool:
-    analyses = getattr(ctx, "analyses", None)
-    chains: DefUseChains = (
-        analyses.defuse(func) if analyses is not None
-        else def_use_chains(func)
-    )
+    candidates = _constant_registers(func)
+    if not candidates:
+        return False
+    chains: DefUseChains = def_use_chains(func, candidates)
+    blocks = {block.label: block for block in func.blocks}
 
     # Seed: every definition site that moves a constant.
     const_of: Dict[tuple, int] = {}
@@ -46,7 +49,7 @@ def global_const_prop(func: Function, ctx: PassContext) -> bool:
     for sites in chains.reaching.defs_of.values():
         for site in sites:
             label, index = site
-            instr = func.block(label).instrs[index]
+            instr = blocks[label].instrs[index]
             if isinstance(instr, Mov) and isinstance(instr.src, Const):
                 const_of[site] = instr.src.value
                 worklist.append(site)
@@ -75,7 +78,7 @@ def global_const_prop(func: Function, ctx: PassContext) -> bool:
                         ctx, func, use, sorted(set(values)), reported
                     )
                     continue
-                instr = func.block(label).instrs[index]
+                instr = blocks[label].instrs[index]
                 if (
                     isinstance(instr, (Load, Store))
                     and instr.base.index == reg_index
@@ -94,6 +97,30 @@ def global_const_prop(func: Function, ctx: PassContext) -> bool:
                         const_of[own_site] = instr.src.value
                         worklist.append(own_site)
     return changed
+
+
+def _constant_registers(func: Function) -> Set[int]:
+    """Registers that can hold a constant: destinations of a constant
+    move, closed under register-to-register copies."""
+    constant: Set[int] = set()
+    copies: Dict[int, List[int]] = {}  # source -> copy destinations
+    for block in func.blocks:
+        for instr in block.instrs:
+            if not isinstance(instr, Mov):
+                continue
+            if isinstance(instr.src, Const):
+                constant.add(instr.dst.index)
+            else:
+                copies.setdefault(instr.src.index, []).append(
+                    instr.dst.index
+                )
+    worklist = list(constant)
+    while worklist:
+        for dst in copies.get(worklist.pop(), ()):
+            if dst not in constant:
+                constant.add(dst)
+                worklist.append(dst)
+    return constant
 
 
 #: Rewrites operands in place: definition sites, the CFG, and therefore

@@ -157,11 +157,20 @@ def run_to_fixpoint(
     passes: List[PassFn],
     max_rounds: int = 20,
 ) -> bool:
-    """Iterate ``passes`` until none of them changes the function."""
+    """Iterate ``passes`` until none of them changes the function.
+
+    A pass whose last run returned ``False`` is skipped until another
+    pass changes the function: a pass is a function of the IR, so it
+    would find nothing again.  The bookkeeping lives in this call only.
+    """
+    generation = 0  # bumped whenever a pass changes the function
+    idle_at = [-1] * len(passes)  # generation of each pass's last no-op
     ever_changed = False
     for _ in range(max_rounds):
         changed = False
-        for pass_fn in passes:
+        for position, pass_fn in enumerate(passes):
+            if idle_at[position] == generation:
+                continue
             name = getattr(pass_fn, "__name__", str(pass_fn))
             started = time.perf_counter()
             pass_changed = bool(pass_fn(func, ctx))
@@ -170,9 +179,12 @@ def run_to_fixpoint(
             )
             invalidate_after(pass_fn, ctx.analyses, func, pass_changed)
             if pass_changed:
+                generation += 1
                 changed = True
                 if ctx.verify:
                     verify_function(func)
+            else:
+                idle_at[position] = generation
         ever_changed = ever_changed or changed
         if not changed:
             return ever_changed
