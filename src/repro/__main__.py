@@ -216,13 +216,14 @@ def cmd_lint(args) -> int:
     try:
         if args.file.endswith(".rtl"):
             # Hand-written RTL: verify structurally (into the sink), then
-            # lint; --differential runs the cleanup bundle under the
+            # lint; --differential runs the cleanup bundle on each
+            # function through the pipeline's stage runner, under the
             # differential pass-sanitizer.
             from repro.ir.parser import parse_module
             from repro.ir.verifier import verify_module
-            from repro.opt.pass_manager import (
-                PassContext, PassManager, cleanup,
-            )
+            from repro.opt.pass_manager import PassContext, cleanup
+            from repro.resilience.transaction import PassGuard
+            from repro.sanitize.differential import DifferentialSanitizer
 
             with open(args.file) as handle:
                 module = parse_module(handle.read(), name=args.file)
@@ -230,11 +231,16 @@ def cmd_lint(args) -> int:
             if not sink.has_errors:
                 lint_module(module, machine, checks=checks, sink=sink)
                 if args.differential:
-                    ctx = PassContext(
-                        machine, sink=sink, differential=True
+                    ctx = PassContext(machine, sink=sink)
+                    guard = PassGuard(
+                        module, machine, sink=sink,
+                        sanitizer=DifferentialSanitizer(
+                            module, machine, sink
+                        ),
                     )
-                    manager = PassManager(ctx).add("cleanup", cleanup)
-                    manager.run(module)
+                    for func in module:
+                        guard.stage(ctx, "cleanup",
+                                    lambda: cleanup(func, ctx), func=func)
                     stats = ctx.stats
         else:
             program = _compile_from_args(

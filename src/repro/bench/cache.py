@@ -103,7 +103,12 @@ def pass_fingerprint() -> str:
 
     root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    files = [root / "pipeline.py", root / "errors.py"]
+    # PassGuard.stage runs every stage and retires cached dataflow after
+    # it, so the guard shapes compiled output too.
+    files = [
+        root / "pipeline.py", root / "errors.py",
+        root / "resilience" / "transaction.py",
+    ]
     for tree in _COMPILE_TREES:
         files.extend(sorted((root / tree).rglob("*.py")))
     for path in files:

@@ -47,11 +47,15 @@ def loop_invariant_code_motion(func: Function, ctx: PassContext) -> bool:
         def_counts = _loop_defs(func, loop)
         live = liveness(func)
         preheader = None
+        # Layout order, not set order: the first hoistable instruction
+        # found decides the preheader's order, so it must not depend on
+        # string hashing.
+        in_layout = [b.label for b in func.blocks if b.label in loop.blocks]
 
         moved = True
         while moved:
             moved = False
-            for label in list(loop.blocks):
+            for label in in_layout:
                 if not all(
                     dominates(idom, label, latch) for latch in loop.latches
                 ):

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.coalesce import CoalesceReport, coalesce_function
 from repro.errors import ReproError
 from repro.frontend import compile_source
-from repro.ir.function import Function, Module
+from repro.ir.function import Module
 from repro.ir.verifier import verify_module
 from repro.machine import MachineDescription, get_machine, lower_module
 from repro.opt import loop_invariant_code_motion, strength_reduce, unroll_function
@@ -248,14 +248,12 @@ def compile_minic(
 
         sanitizer = DifferentialSanitizer(module, machine, sink)
 
-    ctx = PassContext(
-        machine, verify=config.verify,
-        sink=sink, differential=config.differential,
-        on_pass_failure=config.on_pass_failure, faults=faults,
-    )
+    ctx = PassContext(machine, verify=config.verify, sink=sink)
     ctx.record_pass("frontend", True, frontend_seconds)
     reports: List[CoalesceReport] = []
 
+    # Every stage runs through guard.stage: the cancellation probe, the
+    # transaction and the analysis invalidation live there.
     guard = PassGuard(
         module, machine,
         policy=config.on_pass_failure,
@@ -268,43 +266,27 @@ def compile_minic(
         disabled=config.disabled_passes,
         verify=config.verify,
         max_bundles=max_bundles,
+        cancel=cancel,
     )
-
-    def stage(func: Function, name: str, thunk) -> object:
-        """Run one per-function stage as a guarded transaction.
-
-        The ``cancel`` probe runs *outside* the guard: a deadline abort
-        must propagate, never be rolled back as a pass failure.
-        """
-        if cancel is not None:
-            cancel()
-        result = guard.stage(ctx, name, thunk, func=func)
-        # A stage that touched the function (or whose outcome is unknown
-        # after a rollback) retires its cached dataflow; the passes inside
-        # run_to_fixpoint already invalidate at pass granularity.
-        if result is not False:
-            ctx.analyses.invalidate(func)
-        return result
-
-    def module_stage(name: str, thunk) -> None:
-        if cancel is not None:
-            cancel()
-        guard.stage(ctx, name, thunk)
-        ctx.analyses.clear()
 
     for func in module:
         if config.optimize:
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
-            stage(func, "licm",
-                  lambda: loop_invariant_code_motion(func, ctx))
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
-            stage(func, "strength_reduce",
-                  lambda: strength_reduce(func, ctx))
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
+            guard.stage(ctx, "cleanup", lambda: cleanup(func, ctx),
+                        func=func)
+            guard.stage(ctx, "licm",
+                        lambda: loop_invariant_code_motion(func, ctx),
+                        func=func)
+            guard.stage(ctx, "cleanup", lambda: cleanup(func, ctx),
+                        func=func)
+            guard.stage(ctx, "strength_reduce",
+                        lambda: strength_reduce(func, ctx), func=func)
+            guard.stage(ctx, "cleanup", lambda: cleanup(func, ctx),
+                        func=func)
         if config.unroll:
-            stage(func, "unroll", lambda: unroll_function(
-                func, ctx, factor=config.unroll_factor))
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
+            guard.stage(ctx, "unroll", lambda: unroll_function(
+                func, ctx, factor=config.unroll_factor), func=func)
+            guard.stage(ctx, "cleanup", lambda: cleanup(func, ctx),
+                        func=func)
         if config.sanitize or config.differential:
             # Tag loads/stores with their resolved root objects while the
             # IR is still analyzable (pre-lowering); the differential
@@ -317,7 +299,7 @@ def compile_minic(
             if config.versioned_divisibility:
                 divisibility = config.unroll_factor or machine.word_bytes
             reports.extend(
-                stage(func, "coalesce", lambda: coalesce_function(
+                guard.stage(ctx, "coalesce", lambda: coalesce_function(
                     func,
                     ctx,
                     include_stores=config.coalesce == "all",
@@ -325,27 +307,29 @@ def compile_minic(
                     divisibility_factor=divisibility,
                     unaligned_loads=config.unaligned_loads,
                     elide_checks=config.elide_checks and not faults,
-                )) or []
+                ), func=func) or []
             )
             if config.optimize:
-                stage(func, "cleanup", lambda: cleanup(func, ctx))
+                guard.stage(ctx, "cleanup", lambda: cleanup(func, ctx),
+                            func=func)
 
-    module_stage("lower", lambda: lower_module(module, machine))
+    guard.stage(ctx, "lower", lambda: lower_module(module, machine))
     if config.verify:
         verify_module(module)
 
     if config.optimize:
         for func in module:
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
+            guard.stage(ctx, "cleanup", lambda: cleanup(func, ctx),
+                        func=func)
     if config.schedule:
-        module_stage("schedule",
-                     lambda: schedule_module(module, machine))
+        guard.stage(ctx, "schedule",
+                    lambda: schedule_module(module, machine))
     if config.regalloc:
         from repro.opt.regalloc import allocate_registers
 
         for func in module:
-            stage(func, "regalloc",
-                  lambda: allocate_registers(func, ctx))
+            guard.stage(ctx, "regalloc",
+                        lambda: allocate_registers(func, ctx), func=func)
     if config.verify:
         verify_module(module)
 

@@ -17,7 +17,7 @@ iteration order and object identity survive the rollback.
 The policy knob (``PipelineConfig.on_pass_failure``):
 
 ==========  ============================================================
-``raise``   legacy behaviour — the failure propagates (default)
+``raise``   the failure propagates (default)
 ``skip``    roll back this pass invocation and keep going
 ``fallback``  roll back *and* disable the pass for the rest of the
             compilation, like the paper's safe-loop fallback
@@ -110,11 +110,15 @@ def _changed(result) -> bool:
 class PassGuard:
     """Runs pipeline stages as transactions against a module snapshot.
 
-    One guard serves one compilation.  It is *armed* (snapshots, per-pass
+    One guard serves one compilation, and :meth:`stage` is the only way
+    a pipeline stage runs.  The guard is *armed* (snapshots, per-stage
     verification, rollback) whenever the policy is not ``raise`` or a
-    fault plan is present; otherwise every stage runs on the legacy fast
-    path — no snapshot, failures propagate — so default compilations are
-    byte-for-byte unchanged.
+    fault plan is present; unarmed, a stage takes no snapshot and its
+    failures propagate, so default compilations stay cheap.
+
+    ``cancel`` is an optional zero-argument probe called before every
+    stage, outside the transaction: a deadline abort raised from it
+    propagates and is never rolled back as a pass failure.
     """
 
     def __init__(
@@ -131,6 +135,7 @@ class PassGuard:
         disabled: tuple = (),
         verify: bool = True,
         max_bundles: Optional[int] = None,
+        cancel=None,
     ):
         if policy not in PASS_FAILURE_POLICIES:
             from repro.errors import ReproError
@@ -151,30 +156,38 @@ class PassGuard:
         self.max_bundles = max_bundles
         self.disabled: Set[str] = set(disabled)
         self.verify = verify
+        self.cancel = cancel
         self.armed = policy != "raise" or bool(faults)
         self.failures: List[PassFailure] = []
         self._arrivals: Dict[str, int] = {}
 
     # -- the transaction ----------------------------------------------------
-    def stage(
-        self,
-        ctx,
-        name: str,
-        thunk,
-        func: Optional[Function] = None,
-        verify_after: Optional[bool] = None,
-    ):
+    def stage(self, ctx, name: str, thunk, func: Optional[Function] = None):
         """Run one stage; returns its result, or ``None`` when skipped or
         rolled back.  ``func`` names the function for per-function stages
-        (``None`` for module-level ones like lowering/scheduling)."""
+        (``None`` for module-level ones like lowering/scheduling).
+
+        Afterwards the stage's cached dataflow is retired: a module stage
+        clears ``ctx.analyses``; a per-function stage that touched its
+        function (or whose outcome is unknown, ``None``) invalidates that
+        function.  Passes inside ``run_to_fixpoint`` already invalidate
+        at pass granularity.
+        """
+        if self.cancel is not None:
+            self.cancel()
+        result = self._transaction(ctx, name, thunk, func)
+        if func is None:
+            ctx.analyses.clear()
+        elif result is not False:
+            ctx.analyses.invalidate(func)
+        return result
+
+    def _transaction(self, ctx, name: str, thunk, func: Optional[Function]):
         if name in self.disabled:
             ctx.record_pass(name, False, 0.0)
             return None
         invocation = self._arrivals[name] = self._arrivals.get(name, 0) + 1
-        do_verify = (
-            verify_after if verify_after is not None
-            else (self.armed and self.verify)
-        )
+        do_verify = self.armed and self.verify
         aliases = (f"{name}:{func.name}",) if func is not None else ()
         spec = self.faults.draw(name, aliases) if self.faults else None
 
@@ -233,7 +246,7 @@ class PassGuard:
 
         ctx.record_pass(name, False, seconds)
         if not self.armed:
-            raise error  # legacy 'raise' path: propagate unchanged
+            raise error  # unarmed: propagate unchanged
         if self.policy == "raise" and error is not None:
             raise error
 

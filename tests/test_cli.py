@@ -107,6 +107,27 @@ def test_lint_differential_smoke(kernel_file, capsys):
     assert "coalesce" in out
 
 
+@pytest.mark.lint
+def test_lint_rtl_differential_json(tmp_path, capsys):
+    # Compiled RTL round-trips into the .rtl lint path, whose
+    # --differential run pushes the cleanup bundle through the stage
+    # runner under the differential pass-sanitizer.
+    import json
+
+    dot = pathlib.Path(__file__).parent.parent / "examples" / "dot.c"
+    assert main(["compile", str(dot)]) == 0
+    path = tmp_path / "dot.rtl"
+    path.write_text(capsys.readouterr().out)
+
+    assert main(["lint", str(path), "--differential", "--json",
+                 "--stats"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert payload["counts"]["error"] == 0
+    assert payload["pass_stats"]["cleanup"]["runs"] >= 1
+    assert "dead_code_elimination" in payload["pass_stats"]
+
+
 def test_lint_rejects_hazardous_rtl(tmp_path, capsys):
     # Compile a byte loop with coalescing, then hand-miscompile it by
     # replacing every run-time check branch with an unconditional jump

@@ -1,5 +1,10 @@
 """Pipeline configuration and driver tests."""
 
+import json
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ReproError
@@ -94,3 +99,50 @@ class TestCompileMinic:
         report = considered[0]
         if not report.applied:
             assert "not profitable" in report.skipped_reason
+
+
+# Prints the RTL of every (program, machine, column) cell as JSON.
+_DUMP_RTL = """
+import json, sys
+from repro.bench.harness import COLUMN_CONFIGS, COLUMNS, machine_overrides
+from repro.bench.programs import get_benchmark
+from repro.ir import format_module
+from repro.pipeline import compile_minic
+cells = {}
+for name in sys.argv[1:]:
+    for machine in ("alpha", "m88100", "m68030"):
+        for column in COLUMNS:
+            preset, overrides = COLUMN_CONFIGS[column]
+            merged = dict(machine_overrides(machine), **overrides)
+            program = compile_minic(
+                get_benchmark(name).source, machine, preset, **merged
+            )
+            cells[f"{name}/{machine}/{column}"] = format_module(
+                program.module
+            )
+print(json.dumps(cells))
+"""
+
+
+def _rtl_under_hash_seed(seed, programs):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _DUMP_RTL, *programs],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed),
+             "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_compiled_rtl_is_independent_of_hash_seed():
+    # These three programs hoist loop invariants from several blocks of
+    # one loop; the order they land in the preheader must not follow
+    # string hashing.
+    programs = ("blockstage", "convolution", "translate")
+    first = _rtl_under_hash_seed(0, programs)
+    second = _rtl_under_hash_seed(1, programs)
+    assert len(first) == 3 * 3 * 4
+    differing = sorted(cell for cell in first if first[cell] != second[cell])
+    assert differing == []
