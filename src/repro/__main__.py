@@ -1029,8 +1029,7 @@ def cmd_status(args) -> int:
             f"cache: {cache['entries']} entries, {cache['bytes']} bytes "
             f"in {cache['directory']}"
         )
-    print(f"single-flight shared compiles: "
-          f"{response.get('single_flight_shared', 0)}")
+        _print_journal(cache)
     latency = _format_latency(response.get("latency"))
     if latency:
         print(f"latency: {latency}")
@@ -1040,9 +1039,10 @@ def cmd_status(args) -> int:
 def cmd_cache(args) -> int:
     import json
 
-    from repro.bench.cache import CompileCache, cache_enabled
+    from repro.bench.cache import cache_enabled, default_cache_dir
+    from repro.service.artifacts import ArtifactStore
 
-    cache = CompileCache(args.dir)
+    cache = ArtifactStore(args.dir or default_cache_dir())
     if args.clear:
         removed = cache.clear()
         print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")

@@ -10,7 +10,7 @@ implements the CI regression gate.
 """
 
 from repro.bench.programs import BENCHMARKS, BenchmarkProgram, get_benchmark
-from repro.bench.cache import CompileCache, cached_compile_minic
+from repro.bench.cache import cached_compile_minic
 from repro.bench.harness import (
     BenchResult,
     COLUMN_CONFIGS,
@@ -42,7 +42,6 @@ __all__ = [
     "BenchmarkProgram",
     "COLUMN_CONFIGS",
     "ComparisonRow",
-    "CompileCache",
     "TableRow",
     "cached_compile_minic",
     "compare_runs",

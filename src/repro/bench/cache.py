@@ -17,35 +17,27 @@ A cache entry is keyed by the SHA-256 of four things:
   ``frontend``, ``ir``, ``analysis``, ``opt``, ``coalesce``, ``machine``
   and ``sched`` packages), so editing any pass invalidates every entry.
 
-Storage is delegated to the crash-safe content-addressed
-:class:`repro.service.artifacts.ArtifactStore`: entries are written to
-a temp file, fsync'd, and hardlinked into place (link-once — an
-existing entry is never replaced), framed by an integrity header whose
-length and SHA-256 every read re-verifies.  A corrupted or stale entry
-is treated as a miss and deleted; any ``OSError`` on the read or write
-path (disk full, permissions, a yanked directory) logs a diagnostic
-and bypasses the cache — the compile itself never fails because of
-cache I/O.  The cache lives in ``$REPRO_CACHE_DIR`` (default
-``~/.cache/repro-compile``) and is disabled entirely by
-``REPRO_CACHE=off``.
+The cache is one :class:`repro.service.artifacts.ArtifactStore`.
+Entries are written to a temp file, fsync'd, and hardlinked into place
+(link-once — an existing entry is never replaced), framed by an
+integrity header whose length and SHA-256 every read re-verifies.  A corrupted or stale entry is treated as a miss
+and deleted; any ``OSError`` on the read or write path (disk full,
+permissions, a yanked directory) logs a diagnostic and bypasses the
+cache — the compile itself never fails because of cache I/O.  The cache
+lives in ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-compile``) and
+is disabled entirely by ``REPRO_CACHE=off``.  Disk usage is bounded by
+the store's LRU cap (``REPRO_CACHE_MAX_BYTES``); ``python -m repro
+cache --stats`` inspects the store, ``--clear`` empties it.
 
-Disk usage is bounded: the cache holds at most ``max_bytes``
-(``REPRO_CACHE_MAX_BYTES``, default 256 MiB) of entries, pruned
-oldest-mtime-first on every store; a hit refreshes the entry's mtime, so
-eviction is LRU rather than FIFO.  ``python -m repro cache --stats``
-inspects the store, ``--clear`` empties it.
-
-:class:`SingleFlight` collapses *in-flight* duplicates: when several
-threads (the compile service's worker pool) request the same cache key
-at once, one thread compiles and the rest wait and share its result
-instead of compiling the same source N times in parallel.  Across
-*processes* (the fleet's workers, CI shards, a human running ``bench``)
-the same guarantee comes from the artifact store's lease protocol:
 ``cached_compile_minic`` runs the whole miss path through
-``ArtifactStore.fetch_or_compute``, so the first process to reach a
-cold key compiles it while the rest block-with-deadline on its lease
-and read the published artifact — or, if the holder dies, steal the
-lease (fencing-token rule, DESIGN.md §8b) and compile in its place.
+``ArtifactStore.fetch_or_compute``, so concurrent requests for one cold
+key — threads of the compile service's worker pool or separate
+processes (the fleet's workers, CI shards, a human running ``bench``) —
+compile it once: the first caller takes the key's lease and the rest
+block-with-deadline on it and read the published artifact, or, if the
+holder dies, steal the lease (fencing-token rule, DESIGN.md §8b) and
+compile in its place.  Every result says which path served it:
+``CompiledProgram.cache_hit`` is true exactly when the store did.
 """
 
 from __future__ import annotations
@@ -53,11 +45,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.coalesce import CoalesceReport
 from repro.errors import ReproError
@@ -70,23 +61,10 @@ from repro.pipeline import (
     get_config,
 )
 
+if TYPE_CHECKING:
+    from repro.service.artifacts import ArtifactStore
+
 CACHE_SCHEMA = 1
-
-#: Default size cap of the disk cache; REPRO_CACHE_MAX_BYTES overrides
-#: (0 or a negative value lifts the cap).
-DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-
-def default_max_bytes() -> Optional[int]:
-    """The configured cap in bytes, or ``None`` for unbounded."""
-    raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
-    if not raw:
-        return DEFAULT_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_BYTES
-    return value if value > 0 else None
 
 #: Package subtrees whose source text participates in compilation.  The
 #: sim/ and sanitize/ trees are deliberately absent: they run *after*
@@ -151,257 +129,17 @@ def default_cache_dir() -> Path:
     )
 
 
-class CompileCache:
-    """One directory of JSON-serialized compilations.
-
-    Corruption is expected (interrupted writers, disk-full truncation,
-    concurrent benchmark workers): a torn or schema-mismatched entry is
-    logged to the diagnostic ``sink``, deleted, and treated as a miss —
-    never a crash, never a stale program.  The bytes on disk belong to
-    an :class:`~repro.service.artifacts.ArtifactStore` (``.artifacts``),
-    which adds the integrity framing, the link-once publish, the lease
-    protocol, and the durable cross-process event journal behind the
-    ``hit``/``dedup``/``steal``/``corruption`` counters in
-    :meth:`stats`.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path, None] = None,
-        sink=None,
-        max_bytes: Union[int, None] = -1,
-        lease_ttl: Optional[float] = None,
-        faults=None,
-    ):
-        from repro.service.artifacts import ArtifactStore
-
-        self.directory = (
-            default_cache_dir() if directory is None else Path(directory)
-        )
-        # -1 means "use the configured default"; None lifts the cap.
-        self.max_bytes = default_max_bytes() if max_bytes == -1 else max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        if sink is None:
-            from repro.sanitize import DiagnosticSink
-
-            sink = DiagnosticSink()
-        self.sink = sink
-        self.artifacts = ArtifactStore(
-            self.directory, ttl=lease_ttl, sink=sink, faults=faults,
-        )
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    @staticmethod
-    def validate_payload(payload) -> dict:
-        """Shape-check a decoded payload; raises ``ValueError``.
-
-        A truncated-then-concatenated or hand-edited entry can be valid
-        JSON yet still unusable; check shape before reviving.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError("payload is not an object")
-        if payload.get("schema") != CACHE_SCHEMA:
-            raise ValueError("schema mismatch")
-        if not isinstance(payload.get("module"), str):
-            raise ValueError("missing or non-text 'module' field")
-        if not isinstance(payload.get("machine"), str):
-            raise ValueError("missing or non-text 'machine' field")
-        return payload
-
-    # -- raw payload access -------------------------------------------------
-    def lookup(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key``, or None (corrupt files are
-        removed, logged, and reported as misses)."""
-        data = self.artifacts.read(key)  # integrity-verified or dropped
-        if data is None:
-            self.misses += 1
-            return None
-        try:
-            payload = self.validate_payload(json.loads(data))
-        except ValueError as exc:
-            self.misses += 1
-            self.artifacts.drop(key, str(exc))
-            return None
-        self.hits += 1
-        self.artifacts.note_hit(key)  # journal + refresh LRU recency
-        return payload
-
-    def store(self, key: str, payload: dict) -> None:
-        """Durably persist ``payload``; I/O failures are non-fatal.
-
-        The temp file is flushed and fsync'd before being hardlinked
-        into place, so a crash mid-store leaves either no entry or a
-        complete one — a reader can never observe a half-written
-        payload under the final name, and the integrity header catches
-        anything that slips through anyway.  Link-once means a racing
-        writer's complete entry is kept rather than replaced.
-        """
-        try:
-            data = json.dumps(payload).encode()
-        except (TypeError, ValueError):
-            return
-        status = self.artifacts.publish(key, data)
-        if status != "error":
-            self.prune()
-
-    def prune(self, max_bytes: Union[int, None] = -1) -> int:
-        """Evict oldest-mtime entries until the store fits ``max_bytes``
-        (default: the cache's own cap); returns how many were evicted.
-
-        The entry just stored is the newest, so a prune right after a
-        store can evict anything but it.  Concurrent pruners racing on
-        the same file are harmless: a lost unlink is just a miss.
-        """
-        if max_bytes == -1:
-            max_bytes = self.max_bytes
-        if max_bytes is None or not self.directory.is_dir():
-            return 0
-        entries = []
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        entries.sort()
-        evicted = 0
-        for mtime, size, path in entries:
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        self.evictions += evicted
-        return evicted
-
-    def stats(self) -> Dict[str, object]:
-        """On-disk shape, this process's hit/miss counters, and the
-        fleet-wide counters aggregated from the store's durable event
-        journal (``dedup_hits``, ``steals``, ``corruption_drops``, …) —
-        the journal survives process exit, so a fresh ``cache --stats``
-        can report what an entire fleet run did."""
-        entries = 0
-        total = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-        stats: Dict[str, object] = {
-            "directory": str(self.directory),
-            "entries": entries,
-            "bytes": total,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "lease_ttl": self.artifacts.ttl,
-        }
-        stats.update(self.artifacts.counters())
-        return stats
-
-    def clear(self) -> int:
-        """Delete every entry (plus stray temp files, leases, per-key
-        locks, and the event journal); returns how many entries were
-        removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for path in self.directory.glob("*.tmp"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            self.artifacts.clear()
-        return removed
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-
-class _Flight:
-    """One in-flight computation other threads can wait on."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value = None
-        self.error: Optional[BaseException] = None
-
-
-class SingleFlight:
-    """Per-key deduplication of concurrent identical computations.
-
-    ``do(key, fn)`` runs ``fn`` in exactly one of the threads that ask
-    for ``key`` while it is in flight; the others block and receive the
-    leader's result (or its exception).  Once the flight lands the key
-    is forgotten, so a later call computes afresh — the disk cache, not
-    this class, provides cross-call reuse.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._flights: Dict[str, _Flight] = {}
-        self.shared = 0  # how many calls piggybacked on a leader
-
-    def do(self, key: str, fn):
-        """Returns ``(result, was_shared)``."""
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._flights[key] = flight
-                leader = True
-            else:
-                leader = False
-                self.shared += 1
-        if leader:
-            try:
-                flight.value = fn()
-            except BaseException as exc:
-                flight.error = exc
-                raise
-            finally:
-                flight.event.set()
-                with self._lock:
-                    self._flights.pop(key, None)
-            return flight.value, False
-        flight.event.wait()
-        if flight.error is not None:
-            raise flight.error
-        return flight.value, True
-
-
 def cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "on").lower() not in (
         "off", "0", "false", "no",
     )
 
 
-_default_cache: Optional[CompileCache] = None
+_default_cache: Optional[ArtifactStore] = None
 
 
-def default_cache() -> Optional[CompileCache]:
-    """The process-wide cache, or None when REPRO_CACHE=off."""
+def default_cache() -> Optional[ArtifactStore]:
+    """The process-wide store, or None when REPRO_CACHE=off."""
     global _default_cache
     if not cache_enabled():
         return None
@@ -409,7 +147,12 @@ def default_cache() -> Optional[CompileCache]:
         _default_cache is None
         or _default_cache.directory != default_cache_dir()
     ):
-        _default_cache = CompileCache()
+        from repro.sanitize import DiagnosticSink
+        from repro.service.artifacts import ArtifactStore
+
+        _default_cache = ArtifactStore(
+            default_cache_dir(), sink=DiagnosticSink()
+        )
     return _default_cache
 
 
@@ -424,6 +167,23 @@ def serialize_program(program: CompiledProgram) -> dict:
         "coalesce_reports": [asdict(r) for r in program.coalesce_reports],
         "pass_stats": program.pass_stats,
     }
+
+
+def validate_payload(payload) -> dict:
+    """Shape-check a decoded payload; raises ``ValueError``.
+
+    A truncated-then-concatenated or hand-edited entry can be valid
+    JSON yet still unusable; check shape before reviving.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("payload is not an object")
+    if payload.get("schema") != CACHE_SCHEMA:
+        raise ValueError("schema mismatch")
+    if not isinstance(payload.get("module"), str):
+        raise ValueError("missing or non-text 'module' field")
+    if not isinstance(payload.get("machine"), str):
+        raise ValueError("missing or non-text 'machine' field")
+    return payload
 
 
 def revive_program(
@@ -463,14 +223,12 @@ def cached_compile_minic(
     source: str,
     machine: Union[str, MachineDescription] = "alpha",
     config: Union[str, PipelineConfig, None] = None,
-    cache: Optional[CompileCache] = None,
-    flight: Optional[SingleFlight] = None,
+    cache: Optional[ArtifactStore] = None,
     cancel=None,
     faults=None,
-    lease_wait: Optional[float] = None,
     **overrides,
 ) -> CompiledProgram:
-    """``compile_minic`` with the disk cache wrapped around it.
+    """``compile_minic`` with the artifact store wrapped around it.
 
     Sanitizer/differential configurations are never cached: their value
     is in the diagnostics, which re-running the passes produces and a
@@ -483,16 +241,13 @@ def cached_compile_minic(
     the artifact store itself, so the cache stays ON and the plan is
     armed *inside* the store instead.
 
-    ``flight`` (a :class:`SingleFlight`) dedups concurrent identical
-    keys within this process; across processes the same dedup comes
-    from the store's lease protocol — the miss path runs through
-    ``ArtifactStore.fetch_or_compute``, so the first process compiles
-    while the rest wait on its lease (stealing it if the holder dies)
-    and share the published artifact.  ``lease_wait`` bounds that wait;
-    on exhaustion the compile happens locally — degraded to duplicate
-    work, never to an error.  ``cancel`` is the pipeline's cancellation
-    probe (checked at stage boundaries and at every lease poll); the
-    cache-hit path never reaches it.
+    ``cache`` is the store (default: :func:`default_cache`).  Its lease
+    protocol dedups concurrent identical keys across threads and
+    processes; a waiter gives up on a rival's lease after the store's
+    ``wait_timeout`` and compiles locally — degraded to duplicate work,
+    never to an error.  ``cancel`` is the pipeline's cancellation probe
+    (checked at stage boundaries and at every lease poll, so a waiter
+    honours its own deadline); the cache-hit path never reaches it.
     """
     if isinstance(machine, str):
         machine = get_machine(machine)
@@ -519,40 +274,28 @@ def cached_compile_minic(
         or plan_blocks_cache
     ):
         return compile_minic(source, machine, config, cancel=cancel)
-    if plan is not None and cache.artifacts.faults is None:
-        cache.artifacts.faults = plan  # arm disk faults inside the store
-
-    key = cache_key(source, machine.name, config)
+    if plan is not None and cache.faults is None:
+        cache.faults = plan  # arm disk faults inside the store
 
     def produce():
         compiled = compile_minic(source, machine, config, cancel=cancel)
         return compiled, json.dumps(serialize_program(compiled)).encode()
 
     def decode(data: bytes) -> CompiledProgram:
-        payload = CompileCache.validate_payload(json.loads(data))
-        revived = revive_program(payload, machine, config)
+        revived = revive_program(
+            validate_payload(json.loads(data)), machine, config
+        )
         if revived is None:
             raise ValueError("payload does not revive to a program")
         return revived
 
-    def compile_through_cache() -> CompiledProgram:
-        try:
-            program, role = cache.artifacts.fetch_or_compute(
-                key, produce, decode=decode,
-                wait_timeout=lease_wait, cancel=cancel,
-            )
-        except OSError:
-            # Anything the store could not degrade internally (a dying
-            # filesystem, a yanked cache directory): compile uncached.
-            return compile_minic(source, machine, config, cancel=cancel)
-        if role in ("hit", "dedup"):
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            cache.prune()
-        return program
-
-    if flight is None:
-        return compile_through_cache()
-    program, _ = flight.do(key, compile_through_cache)
+    try:
+        program, _role = cache.fetch_or_compute(
+            cache_key(source, machine.name, config), produce,
+            decode=decode, cancel=cancel,
+        )
+    except OSError:
+        # Anything the store could not degrade internally (a dying
+        # filesystem, a yanked cache directory): compile uncached.
+        return compile_minic(source, machine, config, cancel=cancel)
     return program

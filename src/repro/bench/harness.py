@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.programs import get_benchmark
@@ -90,23 +89,18 @@ class BenchResult:
         )
 
 
-@lru_cache(maxsize=256)
-def _compile(
-    name: str, machine: str, column: str, extra: Tuple[Tuple[str, object], ...]
+def compile_benchmark(
+    name: str, machine: str, column: str, cache=None, **extra
 ) -> CompiledProgram:
-    program = get_benchmark(name)
+    """Compile one benchmark for one table column through the artifact
+    store ``cache`` (default: the process-wide store)."""
     preset, overrides = COLUMN_CONFIGS[column]
     merged = dict(machine_overrides(machine))
     merged.update(overrides)
-    merged.update(dict(extra))
-    return cached_compile_minic(program.source, machine, preset, **merged)
-
-
-def compile_benchmark(
-    name: str, machine: str, column: str, **extra
-) -> CompiledProgram:
-    """Compile one benchmark for one table column (cached)."""
-    return _compile(name, machine, column, tuple(sorted(extra.items())))
+    merged.update(extra)
+    return cached_compile_minic(
+        get_benchmark(name).source, machine, preset, cache=cache, **merged
+    )
 
 
 def run_benchmark(
@@ -117,6 +111,7 @@ def run_benchmark(
     height: int = 64,
     check: bool = True,
     sim_backend: Optional[str] = None,
+    cache=None,
     **extra,
 ) -> BenchResult:
     """Compile, stage inputs, simulate, verify and measure one benchmark.
@@ -124,10 +119,13 @@ def run_benchmark(
     ``sim_backend`` picks the simulator backend (``interp`` or
     ``compiled``); None defers to ``REPRO_SIM_BACKEND``.  The result
     records the backend that actually ran — the compiled backend falls
-    back to the interpreter under fault injection.
+    back to the interpreter under fault injection.  ``cache`` is the
+    artifact store the compile goes through (see
+    :func:`compile_benchmark`); ``compile_cache_hit`` says whether it
+    served the program.
     """
     compile_started = time.perf_counter()
-    compiled = compile_benchmark(name, machine, column, **extra)
+    compiled = compile_benchmark(name, machine, column, cache=cache, **extra)
     compile_seconds = time.perf_counter() - compile_started
     sim_started = time.perf_counter()
     sim = compiled.simulator(backend=sim_backend)

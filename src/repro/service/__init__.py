@@ -11,8 +11,8 @@ service:
 * :mod:`repro.service.protocol` — the JSON-lines request/response
   protocol spoken over a local Unix socket;
 * :mod:`repro.service.server` — ``python -m repro serve``: a bounded
-  request queue with load shedding, a worker pool sharing the disk
-  compile cache (with single-flight dedup), per-request deadlines
+  request queue with load shedding, a worker pool sharing one
+  artifact store as its compile cache, per-request deadlines
   enforced at the pipeline's cancellation points, and per-(machine,
   config) circuit breakers that serve *degraded* compiles (offending
   passes disabled) while open;
@@ -29,11 +29,12 @@ service:
   requests from crashed workers, and quarantine (degraded local
   compile + crash bundle) for requests that kill workers repeatedly;
 * :mod:`repro.service.artifacts` — the crash-safe content-addressed
-  artifact store under the compile cache: integrity-framed entries
-  published by fsync + link-once, a lease-based cross-process
-  single-flight protocol (heartbeats, staleness detection, fenced
-  steals), a durable event journal behind the ``dedup``/``steal``/
-  ``corruption`` counters, and the seeded disk-fault hooks.
+  artifact store that *is* the compile cache: integrity-framed entries
+  published by fsync + link-once, an LRU size cap, a lease-based
+  single-flight protocol shared by threads and processes (heartbeats,
+  staleness detection, fenced steals), a durable event journal behind
+  the ``dedup``/``steal``/``corruption`` counters, and the seeded
+  disk-fault hooks.
 
 The chaos harnesses that drive the fleet and disk fault hooks and audit
 the contracts above live outside this package, in :mod:`repro.chaos`

@@ -67,6 +67,15 @@ honours the disk kinds where they make physical sense:
 Any `OSError` from a real disk (not just injected ones) downgrades the
 operation to a miss / an unpublished compile with a diagnostic — the
 cache degrades, the compile never fails because of it.
+
+**Bounded size.**  The store holds at most ``max_bytes`` of artifacts
+(``REPRO_CACHE_MAX_BYTES``, default 256 MiB); every publish prunes
+oldest-mtime-first, and a hit refreshes the entry's mtime, so eviction
+is LRU rather than FIFO.  This store is the one compile cache:
+``repro.bench.cache.cached_compile_minic`` runs every cacheable compile
+through :meth:`ArtifactStore.fetch_or_compute`, which deduplicates
+threads and processes alike (the lease file is ``O_EXCL``-created and
+every ``flock`` opens its own descriptor).
 """
 
 from __future__ import annotations
@@ -91,6 +100,10 @@ HEADER_VERSION = 1
 #: TTL/4, so four beats must be lost before a steal.
 DEFAULT_LEASE_TTL = 5.0
 
+#: Default size cap of the store; REPRO_CACHE_MAX_BYTES overrides (0 or
+#: a negative value lifts the cap).
+DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
 #: Cap on the event journal; appends stop (counters freeze, correctness
 #: is unaffected) rather than filling the disk the store is guarding.
 MAX_EVENT_LOG_BYTES = 32 * 1024 * 1024
@@ -110,6 +123,18 @@ def default_lease_ttl() -> float:
     except ValueError:
         return DEFAULT_LEASE_TTL
     return value if value > 0 else DEFAULT_LEASE_TTL
+
+
+def default_max_bytes() -> Optional[int]:
+    """The configured cap in bytes, or ``None`` for unbounded."""
+    raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
+    if not raw:
+        return DEFAULT_MAX_BYTES
+    try:
+        value = int(raw)
+    except ValueError:
+        return DEFAULT_MAX_BYTES
+    return value if value > 0 else None
 
 
 class Lease:
@@ -196,8 +221,11 @@ class ArtifactStore:
         wait_timeout: Optional[float] = None,
         sink=None,
         faults=None,
+        max_bytes: Optional[int] = -1,
     ):
         self.directory = Path(directory)
+        # -1 means "use the configured default"; None lifts the cap.
+        self.max_bytes = default_max_bytes() if max_bytes == -1 else max_bytes
         self.ttl = default_lease_ttl() if ttl is None else float(ttl)
         # How long a waiter blocks on somebody else's lease before
         # degrading to a local compile.  Long enough to ride out one
@@ -455,7 +483,43 @@ class ArtifactStore:
             self._event("publish-torn", key, token=token)
             return "torn"
         self._event("publish", key, token=token)
+        self.prune()
         return "published"
+
+    def _entries(self) -> List[Tuple[float, int, Path]]:
+        """``(mtime, size, path)`` of every artifact on disk."""
+        entries = []
+        for path in self.directory.glob("*.json"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            entries.append((stat.st_mtime, stat.st_size, path))
+        return entries
+
+    def prune(self) -> int:
+        """Evict oldest-mtime artifacts until the store fits
+        ``max_bytes``; returns how many were evicted.
+
+        The entry just published is the newest, so the prune inside
+        :meth:`publish` can evict anything but it.  Concurrent pruners
+        racing on the same file are harmless: a lost unlink is a miss.
+        """
+        if self.max_bytes is None:
+            return 0
+        entries = sorted(self._entries())
+        total = sum(size for _, size, _ in entries)
+        evicted = 0
+        for _, size, path in entries:
+            if total <= self.max_bytes:
+                break
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            total -= size
+            evicted += 1
+        return evicted
 
     # -- leases --------------------------------------------------------------
     def _create_lease(
@@ -725,16 +789,35 @@ class ArtifactStore:
                 counts["faults_injected"] += 1
         return counts
 
-    def clear(self) -> None:
-        """Remove leases, per-key locks, and the event journal (artifact
-        entries themselves are the cache layer's to manage)."""
-        for pattern in ("*.lease", "*.lock"):
+    def stats(self) -> Dict[str, object]:
+        """On-disk shape plus the journal :meth:`counters` — the journal
+        survives process exit, so a fresh ``cache --stats`` can report
+        what an entire fleet run did."""
+        entries = self._entries()
+        stats: Dict[str, object] = {
+            "directory": str(self.directory),
+            "entries": len(entries),
+            "bytes": sum(size for _, size, _ in entries),
+            "max_bytes": self.max_bytes,
+            "lease_ttl": self.ttl,
+        }
+        stats.update(self.counters())
+        return stats
+
+    def clear(self) -> int:
+        """Remove every artifact, stray temp file, lease, per-key lock
+        and the event journal; returns how many artifacts were removed."""
+        removed = 0
+        for pattern in ("*.json", "*.tmp", "*.lease", "*.lock"):
             for path in self.directory.glob(pattern):
                 try:
                     path.unlink()
                 except OSError:
-                    pass
+                    continue
+                if pattern == "*.json":
+                    removed += 1
         try:
             self.events_path.unlink()
         except OSError:
             pass
+        return removed

@@ -31,9 +31,10 @@ Robustness properties, in the order a request meets them:
   recompiles under ``on_pass_failure='fallback'`` and returns a correct,
   less-optimized program with ``status='degraded'``.
 
-Workers share the disk compile cache across requests, with
-single-flight dedup of identical in-flight keys (two concurrent
-requests for the same (source, machine, config) compile once).
+Workers share one artifact store (the compile cache) across requests.
+Its lease protocol dedups identical in-flight keys: two concurrent
+requests for the same (source, machine, config) compile once, and a
+waiter still honours its own deadline while it waits.
 """
 
 from __future__ import annotations
@@ -183,12 +184,9 @@ class CompileServer:
         cache_dir: Optional[str] = None,
         lease_ttl: Optional[float] = None,
     ):
-        from repro.bench.cache import (
-            CompileCache,
-            SingleFlight,
-            cache_enabled,
-            default_cache,
-        )
+        from repro.bench.cache import cache_enabled, default_cache_dir
+        from repro.sanitize import DiagnosticSink
+        from repro.service.artifacts import ArtifactStore
 
         self.socket_path = socket_path or protocol.default_socket_path()
         self.workers = max(1, workers)
@@ -205,19 +203,18 @@ class CompileServer:
         self.default_deadline = default_deadline
         if cache is not None:
             self.cache = cache
-        elif cache_dir is not None:
-            # An explicit shared directory (the fleet's): honoured even
-            # when it differs from $REPRO_CACHE_DIR, still subject to
-            # the REPRO_CACHE=off kill switch.
-            self.cache = (
-                CompileCache(cache_dir, lease_ttl=lease_ttl)
-                if cache_enabled() else None
+        elif cache_enabled():
+            # The server's own store, built with its lease TTL (the
+            # TTL also sets the store's wait and poll intervals, so it
+            # is never assigned on a live store; a passed ``cache``
+            # keeps its own).  An explicit directory (the fleet's) is
+            # honoured even when it differs from $REPRO_CACHE_DIR.
+            self.cache = ArtifactStore(
+                cache_dir or default_cache_dir(), ttl=lease_ttl,
+                sink=DiagnosticSink(),
             )
         else:
-            self.cache = default_cache()
-        if self.cache is not None and lease_ttl is not None:
-            self.cache.artifacts.ttl = float(lease_ttl)
-        self.flight = SingleFlight()
+            self.cache = None  # REPRO_CACHE=off
         self.latency = LatencyRing()
         self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown)
         # One long-lived plan shared by every compile, so arrival counts
@@ -251,7 +248,7 @@ class CompileServer:
             # Disk-fault plans target the artifact store itself, so the
             # store draws from the same long-lived plan the server owns
             # (arrival counts span requests, as with pass sites).
-            self.cache.artifacts.faults = self.faults
+            self.cache.faults = self.faults
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -593,8 +590,7 @@ class CompileServer:
 
                 program = cached_compile_minic(
                     request["source"], machine, config,
-                    cache=self.cache, flight=self.flight,
-                    cancel=self._cancel, faults=plan,
+                    cache=self.cache, cancel=self._cancel, faults=plan,
                 )
             else:
                 program = compile_minic(
@@ -738,6 +734,7 @@ class CompileServer:
             width=size,
             height=size,
             sim_backend=request.get("sim_backend"),
+            cache=self.cache,
         )
         return {
             "_degraded": False,
@@ -776,6 +773,5 @@ class CompileServer:
             },
             "breakers": self.breakers.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,
-            "single_flight_shared": self.flight.shared,
             "latency": self.latency.snapshot(),
         }

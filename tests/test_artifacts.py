@@ -382,14 +382,14 @@ class TestDiskErrorBypass:
         )
 
     def test_cached_compile_survives_dead_cache_dir(self, tmp_path):
-        from repro.bench.cache import CompileCache, cached_compile_minic
+        from repro.bench.cache import cached_compile_minic
 
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
-        cache = CompileCache(blocker, lease_ttl=0.2)
+        store = ArtifactStore(blocker, ttl=0.2, wait_timeout=0.3)
         program = cached_compile_minic(
             "int add(int a, int b) { return a + b; }",
-            "alpha", "coalesce-all", cache=cache, lease_wait=0.3,
+            "alpha", "coalesce-all", cache=store,
         )
         assert program is not None
         assert not program.cache_hit
@@ -425,13 +425,13 @@ class TestJournal:
         ):
             assert counters[field] == 0
 
-    def test_clear_removes_protocol_state_only(self, tmp_path):
+    def test_clear_removes_entries_and_protocol_state(self, tmp_path):
         store = make_store(tmp_path)
         store.fetch_or_compute(KEY, lambda: (b"v", b"v"))
         lease = store.acquire(OTHER)
         lease.stop()
-        store.clear()
-        assert store.read(KEY) == b"v"  # artifacts are the cache's
+        assert store.clear() == 1
+        assert store.read(KEY) is None
         assert not store.lease_path(OTHER).exists()
         assert list(store.directory.glob("*.lock")) == []
         assert store.events() == []
@@ -450,10 +450,8 @@ class TestConfig:
         assert default_lease_ttl() == 5.0
 
     def test_cache_stats_include_journal_counters(self, tmp_path):
-        from repro.bench.cache import CompileCache
-
-        cache = CompileCache(tmp_path, max_bytes=None, lease_ttl=0.7)
-        stats = cache.stats()
+        store = ArtifactStore(tmp_path, max_bytes=None, ttl=0.7)
+        stats = store.stats()
         assert stats["lease_ttl"] == 0.7
         assert stats["dedup_hits"] == 0
         assert stats["steals"] == 0

@@ -14,7 +14,6 @@ import pytest
 from repro.bench import cache as cache_mod
 from repro.bench import runner
 from repro.bench.cache import (
-    CompileCache,
     cache_key,
     cached_compile_minic,
     revive_program,
@@ -23,6 +22,7 @@ from repro.bench.cache import (
 from repro.bench.programs import get_benchmark
 from repro.ir import format_module
 from repro.pipeline import compile_minic, get_config
+from repro.service.artifacts import ArtifactStore
 
 DOT = get_benchmark("dotproduct").source
 
@@ -41,16 +41,17 @@ def _run_dot(program):
 
 class TestCompileCache:
     def test_hit_on_identical_source(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         first = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         second = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         assert not first.cache_hit
         assert second.cache_hit
-        assert cache.hits == 1 and cache.misses == 1
+        counters = cache.counters()
+        assert counters["log_hits"] == 1 and counters["compiles"] == 1
         assert format_module(first.module) == format_module(second.module)
 
     def test_revived_program_simulates_identically(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cold = cached_compile_minic(
             DOT, "alpha", "coalesce-all", cache=cache
         )
@@ -65,17 +66,18 @@ class TestCompileCache:
         assert warm.pass_stats == cold.pass_stats
 
     def test_miss_on_config_change(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         other = cached_compile_minic(
             DOT, "alpha", "vpo", cache=cache, unroll_factor=2
         )
         assert not other.cache_hit
-        assert cache.hits == 0 and cache.misses == 2
-        assert len(cache) == 2
+        counters = cache.counters()
+        assert counters["log_hits"] == 0 and counters["compiles"] == 2
+        assert cache.stats()["entries"] == 2
 
     def test_miss_on_machine_change(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         other = cached_compile_minic(DOT, "m88100", "vpo", cache=cache)
         assert not other.cache_hit
@@ -83,17 +85,18 @@ class TestCompileCache:
     def test_miss_on_pass_list_fingerprint_change(
         self, tmp_path, monkeypatch
     ):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         monkeypatch.setattr(
             cache_mod, "pass_fingerprint", lambda: "0" * 16
         )
         other = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         assert not other.cache_hit
-        assert cache.hits == 0 and cache.misses == 2
+        counters = cache.counters()
+        assert counters["log_hits"] == 0 and counters["compiles"] == 2
 
     def test_corrupted_cache_file_recovery(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         key = cache_key(DOT, "alpha", get_config("vpo"))
         entry = tmp_path / f"{key}.json"
@@ -108,27 +111,27 @@ class TestCompileCache:
         ).cache_hit
 
     def test_unrevivable_payload_falls_back_to_compile(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         key = cache_key(DOT, "alpha", get_config("vpo"))
         entry = tmp_path / f"{key}.json"
         # Re-frame the poisoned payload with a valid checksum: the
         # integrity check must pass so the *revive* path is what fails.
-        payload = json.loads(cache.artifacts.read(key))
+        payload = json.loads(cache.read(key))
         payload["module"] = "r[0] = garbage !!!"
         blob = json.dumps(payload).encode("utf-8")
-        entry.write_bytes(cache.artifacts._encode(blob))
+        entry.write_bytes(cache._encode(blob))
         program = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         assert not program.cache_hit
         assert _run_dot(program)
 
     def test_sanitize_configs_are_never_cached(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         program = cached_compile_minic(
             DOT, "alpha", "vpo", cache=cache, sanitize=True
         )
         assert not program.cache_hit
-        assert len(cache) == 0
+        assert cache.stats()["entries"] == 0
 
     def test_serialize_revive_round_trip(self):
         config = get_config("coalesce-all")
@@ -142,6 +145,21 @@ class TestCompileCache:
         assert [r.applied for r in revived.coalesce_reports] == [
             r.applied for r in program.coalesce_reports
         ]
+
+    def test_run_benchmark_repeat_is_a_store_hit(self, tmp_path, monkeypatch):
+        from repro.bench.harness import run_benchmark
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        first = run_benchmark(
+            "dotproduct", "alpha", "coalesce-all", width=8, height=8,
+        )
+        second = run_benchmark(
+            "dotproduct", "alpha", "coalesce-all", width=8, height=8,
+        )
+        assert not first.compile_cache_hit
+        assert second.compile_cache_hit is True
+        assert second.cycles == first.cycles
+        assert ArtifactStore(tmp_path).counters()["log_hits"] == 1
 
     def test_cache_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "off")

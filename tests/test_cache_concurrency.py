@@ -1,12 +1,14 @@
 """Concurrent and capped compile-cache behaviour.
 
-The service shares one disk cache across worker threads *and* across
-processes (several servers, CI shards, a human running ``bench`` at the
-same time).  These tests pin the two guarantees that sharing relies on:
+The compile cache is one :class:`ArtifactStore`, shared across worker
+threads *and* across processes (several servers, CI shards, a human
+running ``bench`` at the same time).  These tests pin the guarantees
+that sharing relies on:
 
 * a reader never observes a torn entry, no matter how many writers are
-  racing on the same key (``store`` is write-to-temp + atomic rename);
-* the cache stays bounded: LRU eviction by ``max_bytes``, with hits
+  racing on the same key (``publish`` is write-to-temp + link-once);
+* a cold key raced by many threads or processes is compiled once;
+* the store stays bounded: LRU eviction by ``max_bytes``, with hits
   refreshing recency.
 """
 
@@ -20,13 +22,14 @@ import pytest
 
 from repro.bench.cache import (
     CACHE_SCHEMA,
-    CompileCache,
-    SingleFlight,
     cache_key,
     cached_compile_minic,
-    default_max_bytes,
+    validate_payload,
 )
+from repro.errors import SemanticError
+from repro.ir.printer import format_module
 from repro.pipeline import get_config
+from repro.service.artifacts import ArtifactStore, default_max_bytes
 
 SRC = """
 int dot(short *a, short *b, int n) {
@@ -39,35 +42,41 @@ int dot(short *a, short *b, int n) {
 """
 
 
-def payload_for(tag: str, filler: int = 2048) -> dict:
-    """A minimal well-formed cache payload ``lookup`` accepts."""
-    return {
+def payload_for(tag: str, filler: int = 2048) -> bytes:
+    """A minimal well-formed cache payload ``validate_payload`` accepts."""
+    return json.dumps({
         "schema": CACHE_SCHEMA,
         "module": f"; module for {tag}\n" + "x" * filler,
         "machine": "alpha",
         "tag": tag,
-    }
+    }).encode()
+
+
+def unreachable():
+    raise AssertionError("a hit must not compute")
 
 
 # -- cross-process atomicity -------------------------------------------------
 HAMMER = r"""
 import json, sys
 sys.path.insert(0, {src_dir!r})
-from repro.bench.cache import CompileCache, CACHE_SCHEMA
+from repro.bench.cache import CACHE_SCHEMA, validate_payload
+from repro.service.artifacts import ArtifactStore
 
-cache = CompileCache({cache_dir!r}, max_bytes=None)
+store = ArtifactStore({cache_dir!r}, max_bytes=None)
 tag = sys.argv[1]
-payload = {{
+payload = json.dumps({{
     "schema": CACHE_SCHEMA,
     "module": "; module from " + tag + "\n" + tag * 4096,
     "machine": "alpha",
     "tag": tag,
-}}
+}}).encode()
 for round in range(60):
-    cache.store("sharedkey", payload)
-    seen = cache.lookup("sharedkey")
-    if seen is None:
+    store.publish("sharedkey", payload)
+    raw = store.read("sharedkey")
+    if raw is None:
         continue  # a racing unlink/replace window: a miss is fine
+    seen = validate_payload(json.loads(raw))
     # What must NEVER happen is a half-written or interleaved entry.
     assert seen["schema"] == CACHE_SCHEMA, seen
     assert seen["module"].startswith("; module from "), seen["module"][:40]
@@ -94,19 +103,19 @@ class TestCrossProcess:
             for tag in ("one", "two")
         ]
         # Race a reader in this process against both writers.
-        cache = CompileCache(tmp_path / "shared", max_bytes=None)
+        store = ArtifactStore(tmp_path / "shared", max_bytes=None)
         while any(p.poll() is None for p in procs):
-            seen = cache.lookup("sharedkey")
-            if seen is not None:
-                assert seen["schema"] == CACHE_SCHEMA
+            raw = store.read("sharedkey")
+            if raw is not None:
+                seen = validate_payload(json.loads(raw))
                 assert seen["tag"] in ("one", "two")
         for proc in procs:
             out, err = proc.communicate(timeout=60)
             assert proc.returncode == 0, err
             assert "clean" in out
         # The surviving entry is complete and loadable.
-        final = cache.lookup("sharedkey")
-        assert final is not None and final["tag"] in ("one", "two")
+        final = validate_payload(json.loads(store.read("sharedkey")))
+        assert final["tag"] in ("one", "two")
         # No stray temp files once the writers are done.
         assert list((tmp_path / "shared").glob("*.tmp")) == []
 
@@ -120,9 +129,9 @@ class TestCrossProcess:
         )
         script = (
             "import sys; sys.path.insert(0, {src!r})\n"
-            "from repro.bench.cache import CompileCache, "
-            "cached_compile_minic\n"
-            "cache = CompileCache({cache!r})\n"
+            "from repro.bench.cache import cached_compile_minic\n"
+            "from repro.service.artifacts import ArtifactStore\n"
+            "cache = ArtifactStore({cache!r})\n"
             "program = cached_compile_minic({source!r}, 'alpha', "
             "'coalesce-all', cache=cache)\n"
             "print('coalesced', program.coalesced_loops)\n"
@@ -140,13 +149,13 @@ class TestCrossProcess:
             out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
             assert "coalesced 1" in out
-        cache = CompileCache(tmp_path / "cc")
+        store = ArtifactStore(tmp_path / "cc")
         key = cache_key(SRC, "alpha", get_config("coalesce-all"))
         revived = cached_compile_minic(
-            SRC, "alpha", "coalesce-all", cache=cache
+            SRC, "alpha", "coalesce-all", cache=store
         )
         assert revived.cache_hit
-        assert cache.lookup(key) is not None
+        assert store.read(key) is not None
 
 
 # -- cross-process single-flight ---------------------------------------------
@@ -159,8 +168,9 @@ def _src_dir() -> str:
 COMPILER = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.bench.cache import CompileCache, cached_compile_minic
-cache = CompileCache({cache!r}, lease_ttl=1.0)
+from repro.bench.cache import cached_compile_minic
+from repro.service.artifacts import ArtifactStore
+cache = ArtifactStore({cache!r}, ttl=1.0)
 program = cached_compile_minic(
     {source!r}, 'alpha', 'coalesce-all', cache=cache,
 )
@@ -259,156 +269,155 @@ class TestCrossProcessSingleFlight:
 # -- torn-entry recovery -----------------------------------------------------
 class TestCorruptEntries:
     def test_truncated_entry_is_dropped_not_crashed(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        cache.store("key", payload_for("good"))
-        path = cache._path("key")
+        store = ArtifactStore(tmp_path)
+        store.publish("key", payload_for("good"))
+        path = store.artifact_path("key")
         path.write_text(path.read_text()[:37])  # simulate a torn write
-        assert cache.lookup("key") is None
+        assert store.read("key") is None
         assert not path.exists()  # the wreck was removed
 
     def test_wrong_schema_is_dropped(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        bad = payload_for("old")
+        store = ArtifactStore(tmp_path)
+        key = cache_key(SRC, "alpha", get_config("vpo"))
+        bad = json.loads(payload_for("old"))
         bad["schema"] = CACHE_SCHEMA + 1
-        cache.store("key", bad)
-        assert cache.lookup("key") is None
+        store.publish(key, json.dumps(bad).encode())
+        program = cached_compile_minic(SRC, "alpha", "vpo", cache=store)
+        assert not program.cache_hit
+        assert store.counters()["corruption_drops"] == 1
+        # The recompile replaced the dropped entry.
+        assert cached_compile_minic(
+            SRC, "alpha", "vpo", cache=store
+        ).cache_hit
 
 
 # -- LRU size cap ------------------------------------------------------------
 class TestSizeCap:
     def entry_bytes(self, tmp_path) -> int:
-        probe = CompileCache(tmp_path / "probe", max_bytes=None)
-        probe.store("probe", payload_for("probe"))
-        return probe._path("probe").stat().st_size
+        probe = ArtifactStore(tmp_path / "probe", max_bytes=None)
+        probe.publish("probe", payload_for("probe"))
+        return probe.artifact_path("probe").stat().st_size
 
     def test_store_evicts_oldest_beyond_max_bytes(self, tmp_path):
         size = self.entry_bytes(tmp_path)
-        cache = CompileCache(tmp_path / "c", max_bytes=2 * size + size // 2)
+        store = ArtifactStore(
+            tmp_path / "c", max_bytes=2 * size + size // 2
+        )
         for index, tag in enumerate(("a", "b", "c")):
-            cache.store(tag, payload_for(tag))
+            store.publish(tag, payload_for(tag))
             # Distinct mtimes make the LRU order deterministic even on
             # coarse-resolution filesystems.
-            os.utime(cache._path(tag), (1000 + index, 1000 + index))
-        cache.store("d", payload_for("d"))
-        assert not cache._path("a").exists()
-        assert not cache._path("b").exists()
-        assert cache._path("c").exists()
-        assert cache._path("d").exists()
-        assert cache.evictions == 2
+            os.utime(store.artifact_path(tag), (1000 + index, 1000 + index))
+        store.publish("d", payload_for("d"))
+        assert not store.artifact_path("a").exists()
+        assert not store.artifact_path("b").exists()
+        assert store.artifact_path("c").exists()
+        assert store.artifact_path("d").exists()
+        assert store.stats()["entries"] == 2
 
     def test_lookup_refreshes_recency(self, tmp_path):
         size = self.entry_bytes(tmp_path)
-        cache = CompileCache(tmp_path / "c", max_bytes=2 * size + size // 2)
-        cache.store("a", payload_for("a"))
-        cache.store("b", payload_for("b"))
-        os.utime(cache._path("a"), (1000, 1000))
-        os.utime(cache._path("b"), (1001, 1001))
-        assert cache.lookup("a") is not None  # bumps a's mtime to "now"
-        cache.store("c", payload_for("c"))
-        assert cache._path("a").exists()   # recently used: kept
-        assert not cache._path("b").exists()  # LRU victim
+        store = ArtifactStore(
+            tmp_path / "c", max_bytes=2 * size + size // 2
+        )
+        store.publish("a", payload_for("a"))
+        store.publish("b", payload_for("b"))
+        os.utime(store.artifact_path("a"), (1000, 1000))
+        os.utime(store.artifact_path("b"), (1001, 1001))
+        # A hit bumps a's mtime to "now".
+        assert store.fetch_or_compute("a", unreachable)[1] == "hit"
+        store.publish("c", payload_for("c"))
+        assert store.artifact_path("a").exists()   # recently used: kept
+        assert not store.artifact_path("b").exists()  # LRU victim
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = CompileCache(tmp_path, max_bytes=None)
+        store = ArtifactStore(tmp_path, max_bytes=None)
         for index in range(8):
-            cache.store(f"k{index}", payload_for(str(index)))
-        assert len(cache) == 8
-        assert cache.evictions == 0
+            store.publish(f"k{index}", payload_for(str(index)))
+        assert store.stats()["entries"] == 8
+        assert store.prune() == 0
 
     def test_default_max_bytes_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")
         assert default_max_bytes() == 12345
-        assert CompileCache("/tmp/unused").max_bytes == 12345
+        assert ArtifactStore("unused").max_bytes == 12345
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "0")
         assert default_max_bytes() is None  # 0 lifts the cap
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "garbage")
         assert default_max_bytes() is not None  # falls back to default
 
     def test_stats_reports_shape(self, tmp_path):
-        cache = CompileCache(tmp_path, max_bytes=None)
-        cache.store("k", payload_for("k"))
-        cache.lookup("k")
-        cache.lookup("missing")
-        stats = cache.stats()
+        store = ArtifactStore(tmp_path, max_bytes=None)
+        store.publish("k", payload_for("k"))
+        store.fetch_or_compute("k", unreachable)
+        assert store.read("missing") is None
+        stats = store.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
+        assert stats["log_hits"] == 1
         assert stats["max_bytes"] is None
+        assert stats["directory"] == str(tmp_path)
 
 
-# -- single-flight dedup -----------------------------------------------------
-class TestSingleFlight:
-    def test_identical_keys_run_once(self):
-        flight = SingleFlight()
-        barrier = threading.Barrier(5)
-        calls = []
-        results = []
-        lock = threading.Lock()
+# -- threads racing one cold key ----------------------------------------------
+def race(fn, threads: int = 5) -> list:
+    """Run ``fn`` in ``threads`` threads released at once; returns each
+    thread's ``("ok", value)`` or ``("error", exception)``."""
+    barrier = threading.Barrier(threads)
+    outcomes = [None] * threads
 
-        def compute():
-            calls.append(1)
-            # Give the followers time to pile onto the same flight.
-            import time
-            time.sleep(0.1)
-            return "value"
+    def run(index):
+        barrier.wait()
+        try:
+            outcomes[index] = ("ok", fn())
+        except Exception as exc:  # noqa: BLE001 — compared below
+            outcomes[index] = ("error", exc)
 
-        def run():
-            barrier.wait()
-            result, shared = flight.do("key", compute)
-            with lock:
-                results.append((result, shared))
-
-        threads = [threading.Thread(target=run) for _ in range(5)]
-        for thread in threads:
+    pool = [
+        threading.Thread(target=run, args=(index,))
+        for index in range(threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the racers more finely
+    try:
+        for thread in pool:
             thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert [r for r, _ in results] == ["value"] * 5
-        # The computation ran at most... exactly once for the whole pack
-        # when they all joined one flight; a scheduling straggler that
-        # missed the flight recomputes, but never more than the threads.
-        assert 1 <= len(calls) <= 2
-        assert any(shared for _, shared in results)
-        assert flight.shared >= 3
+        for thread in pool:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    return outcomes
 
-    def test_different_keys_do_not_share(self):
-        flight = SingleFlight()
-        first, shared_first = flight.do("a", lambda: 1)
-        second, shared_second = flight.do("b", lambda: 2)
-        assert (first, second) == (1, 2)
-        assert not shared_first and not shared_second
 
-    def test_leader_error_propagates_to_followers(self):
-        flight = SingleFlight()
-        barrier = threading.Barrier(3)
-        outcomes = []
-        lock = threading.Lock()
+class TestThreadRace:
+    """The store's lease dedups threads of one process as well as
+    processes: the lease file is ``O_EXCL``-created and every per-key
+    ``flock`` opens its own descriptor."""
 
-        def explode():
-            import time
-            time.sleep(0.1)
-            raise ValueError("boom")
+    def test_threads_racing_one_cold_key_compile_once(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        outcomes = race(lambda: cached_compile_minic(
+            SRC, "alpha", "coalesce-all", cache=store,
+        ))
+        assert [kind for kind, _ in outcomes] == ["ok"] * 5, outcomes
+        assert len({format_module(p.module) for _, p in outcomes}) == 1
+        counters = store.counters()
+        assert counters["compiles"] == 1, counters
+        assert counters["publishes"] == 1, counters
 
-        def run():
-            barrier.wait()
-            try:
-                flight.do("key", explode)
-            except ValueError as exc:
-                with lock:
-                    outcomes.append(str(exc))
-
-        threads = [threading.Thread(target=run) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert outcomes == ["boom"] * 3
-
-    def test_key_is_reusable_after_completion(self):
-        flight = SingleFlight()
-        assert flight.do("key", lambda: 1) == (1, False)
-        assert flight.do("key", lambda: 2) == (2, False)  # fresh flight
+    def test_failing_source_raises_same_error_in_every_thread(
+        self, tmp_path
+    ):
+        store = ArtifactStore(tmp_path)
+        outcomes = race(lambda: cached_compile_minic(
+            "int f(int a) { return b; }", "alpha", "vpo", cache=store,
+        ))
+        assert [kind for kind, _ in outcomes] == ["error"] * 5, outcomes
+        assert {(type(exc), str(exc)) for _, exc in outcomes} == {
+            (SemanticError, "line 1: undeclared name 'b'"),
+        }
+        assert store.counters()["publishes"] == 0
 
 
 # -- the cache CLI -----------------------------------------------------------
@@ -416,9 +425,9 @@ class TestCacheCLI:
     def test_stats_and_clear(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        cache = CompileCache(tmp_path, max_bytes=None)
-        cache.store("k1", payload_for("k1"))
-        cache.store("k2", payload_for("k2"))
+        store = ArtifactStore(tmp_path, max_bytes=None)
+        store.publish("k1", payload_for("k1"))
+        store.publish("k2", payload_for("k2"))
 
         assert main(["cache", "--dir", str(tmp_path), "--stats"]) == 0
         out = capsys.readouterr().out
@@ -428,7 +437,10 @@ class TestCacheCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] == 2
         assert payload["bytes"] > 0
+        assert payload["publishes"] == 2
+        for gone in ("hits", "misses", "evictions"):
+            assert gone not in payload
 
         assert main(["cache", "--dir", str(tmp_path), "--clear"]) == 0
         assert "removed 2" in capsys.readouterr().out
-        assert len(cache) == 0
+        assert store.stats()["entries"] == 0

@@ -433,29 +433,42 @@ class TestBenchFaultTolerance:
 # -- compile-cache corruption hardening -------------------------------------
 class TestCacheHardening:
     def _cache(self, tmp_path):
-        from repro.bench.cache import CompileCache
+        from repro.sanitize import DiagnosticSink
+        from repro.service.artifacts import ArtifactStore
 
-        return CompileCache(tmp_path)
+        return ArtifactStore(tmp_path, sink=DiagnosticSink())
+
+    @staticmethod
+    def _payload(**fields) -> bytes:
+        return json.dumps(
+            {"schema": 1, "module": "m", "machine": "alpha", **fields}
+        ).encode()
 
     def test_truncated_entry_is_a_logged_miss(self, tmp_path):
         cache = self._cache(tmp_path)
-        cache.store("k", {"schema": 1, "module": "m", "machine": "alpha"})
-        path = cache._path("k")
+        cache.publish("k", self._payload())
+        path = cache.artifact_path("k")
         path.write_text(path.read_text()[:10])  # torn write
-        assert cache.lookup("k") is None
+        assert cache.read("k") is None
         assert not path.exists()
         assert any(
             d.check == "artifact-store" for d in cache.sink
         )
 
     def test_wrong_shape_entry_is_dropped(self, tmp_path):
+        from repro.bench.cache import cache_key, cached_compile_minic
+        from repro.pipeline import get_config
+
         cache = self._cache(tmp_path)
-        cache.store("k", {"schema": 1, "module": 42, "machine": "alpha"})
-        assert cache.lookup("k") is None
+        key = cache_key(DOT, "alpha", get_config("vpo"))
+        cache.publish(key, self._payload(module=42))
+        program = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
+        assert not program.cache_hit
+        assert cache.counters()["corruption_drops"] == 1
 
     def test_clear_removes_stray_temp_files(self, tmp_path):
         cache = self._cache(tmp_path)
-        cache.store("k", {"schema": 1, "module": "m", "machine": "alpha"})
+        cache.publish("k", self._payload())
         (tmp_path / "orphan.tmp").write_text("partial")
         assert cache.clear() == 1
         assert list(tmp_path.glob("*.tmp")) == []

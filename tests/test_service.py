@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.bench.cache import CompileCache
+from repro.bench.cache import default_cache
 from repro.errors import DeadlineExceeded, FaultInjected, ParseError
 from repro.pipeline import compile_minic
 from repro.resilience import (
@@ -41,6 +41,7 @@ from repro.service.client import (
     parse_array_specs,
     wait_until_ready,
 )
+from repro.service.artifacts import ArtifactStore, default_lease_ttl
 from repro.service.server import CompileServer
 
 DOT_SRC = """
@@ -324,7 +325,7 @@ def service(tmp_path):
         kwargs.setdefault(
             "socket_path", str(tmp_path / f"srv{len(servers)}.sock")
         )
-        kwargs.setdefault("cache", CompileCache(tmp_path / "cache"))
+        kwargs.setdefault("cache", ArtifactStore(tmp_path / "cache"))
         server = CompileServer(**kwargs)
         server.start()
         assert wait_until_ready(server.socket_path, timeout=10.0)
@@ -353,6 +354,40 @@ class TestServerBasics:
         second = client.compile(ADD_SRC)
         assert second["status"] == "ok"
         assert second["cache_hit"] is True
+
+    def test_bench_second_request_is_a_store_hit(
+        self, service, tmp_path, monkeypatch
+    ):
+        # The bench op compiles through the server's own store, so a
+        # repeat is served by it and says so.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        server = service()
+        client = client_for(server)
+        first = client.bench("dotproduct", size=8)
+        second = client.bench("dotproduct", size=8)
+        assert first["status"] == second["status"] == "ok"
+        assert first["cache_hit"] is False
+        assert second["cache_hit"] is True
+        assert second["cycles"] == first["cycles"]
+        assert server.cache.counters()["log_hits"] == 1
+
+    def test_lease_ttl_builds_the_servers_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
+        server = CompileServer(
+            socket_path=str(tmp_path / "ttl.sock"), lease_ttl=1.0,
+        )
+        store = server.cache
+        built = ArtifactStore(tmp_path / "cache", ttl=1.0)
+        assert store.directory == built.directory
+        # The TTL also sets the wait and poll intervals, so the store
+        # must be built with it rather than have it assigned later.
+        assert (store.ttl, store.wait_timeout, store.poll_interval) == (
+            built.ttl, built.wait_timeout, built.poll_interval,
+        )
+        # The process-wide default store keeps its own TTL.
+        assert default_cache().ttl == default_lease_ttl()
 
     def test_simulate_matches_local_compile(self, service):
         server = service()
@@ -562,6 +597,47 @@ class TestDeadlines:
         assert server.stats.snapshot()["timeouts"] == 1
         # The worker survived: the next request is served normally.
         assert client_for(server).compile(ADD_SRC)["status"] == "ok"
+
+    def test_lease_follower_keeps_its_own_deadline(
+        self, service, monkeypatch
+    ):
+        from repro.bench import cache as cache_mod
+
+        real_compile = cache_mod.compile_minic
+
+        def slow_compile(*args, **kwargs):
+            time.sleep(1.0)
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "compile_minic", slow_compile)
+        server = service(workers=2)
+        leader = {}
+
+        def lead():
+            leader.update(client_for(server, retries=0)._attempt({
+                "id": 1, "op": "compile", "source": DOT_SRC,
+                "config": "coalesce-all", "deadline": 10.0,
+            }))
+
+        thread = threading.Thread(target=lead)
+        thread.start()
+        give_up = time.monotonic() + 10.0
+        while not list(server.cache.directory.glob("*.lease")):
+            assert time.monotonic() < give_up, "leader never took a lease"
+            time.sleep(0.01)
+        # Same key, short budget: the follower waits on the leader's
+        # lease and must time out on its own clock, not the leader's.
+        started = time.monotonic()
+        response = client_for(server, retries=0)._attempt({
+            "id": 2, "op": "compile", "source": DOT_SRC,
+            "config": "coalesce-all", "deadline": 0.2,
+        })
+        elapsed = time.monotonic() - started
+        thread.join(timeout=30)
+        assert response["status"] == "timeout", response
+        assert elapsed < 0.4  # within 2x the deadline
+        assert leader["status"] == "ok"
+        assert server.cache.counters()["compiles"] == 1
 
     def test_deadline_covers_queue_wait(self, service):
         server = service(workers=1)
@@ -785,7 +861,7 @@ class TestServiceCLI:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
         server = CompileServer(
             socket_path=str(tmp_path / "cli.sock"),
-            cache=CompileCache(tmp_path / "cli-cache"),
+            cache=ArtifactStore(tmp_path / "cli-cache"),
         )
         server.start()
         assert wait_until_ready(server.socket_path, timeout=10.0)
@@ -849,6 +925,16 @@ class TestServiceCLI:
             "--socket", str(tmp_path / "nobody.sock"),
             "--retries", "1", "--backoff-base", "0.001",
         ]) == 3
+
+    def test_status_text_prints_the_store_journal(self, served, capsys):
+        from repro.__main__ import main
+
+        client_for(served).compile(ADD_SRC)
+        client_for(served).compile(ADD_SRC)
+        assert main(["status", "--socket", served.socket_path]) == 0
+        out = capsys.readouterr().out
+        assert "journal:   1 hit(s), 0 dedup, 1 compile(s)" in out
+        assert "single-flight" not in out
 
     def test_status_and_shutdown(self, served, capsys):
         import json
