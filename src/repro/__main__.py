@@ -158,20 +158,27 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.errors import ReproError
+    from repro.service.client import parse_array_specs
+
+    try:
+        arrays = parse_array_specs(args.array)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     program = _compile_from_args(args)
     sim = program.simulator(
         max_steps=args.max_steps, backend=args.sim_backend
     )
     addresses = {}
-    for spec in args.array or []:
-        name, width, values = spec.split(":", 2)
-        width = int(width)
-        values = [int(v, 0) for v in values.split(",")] if values else []
+    widths = {}
+    for name, width, values in arrays:
         address = sim.alloc_array(
             name, size=max(len(values), 1) * width
         )
         sim.write_words(address, values, width)
         addresses[name] = address
+        widths[name] = width
 
     call_args = []
     for arg in args.args or []:
@@ -191,13 +198,9 @@ def cmd_run(args) -> int:
     print(f"memory references: {report.memory_accesses}")
     for name in addresses:
         if args.dump:
-            width = int(
-                next(s for s in args.array if s.startswith(name + ":"))
-                .split(":")[1]
-            )
             count = min(args.dump, 64)
             print(f"{name}[0:{count}] =",
-                  sim.read_words(addresses[name], count, width))
+                  sim.read_words(addresses[name], count, widths[name]))
     return 0
 
 

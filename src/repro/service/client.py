@@ -28,7 +28,6 @@ still waiting for).
 from __future__ import annotations
 
 import random
-import socket
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,19 +80,11 @@ class ServiceClient:
 
     # -- one attempt --------------------------------------------------------
     def _attempt(self, message: dict) -> dict:
-        sock = protocol.connect(
-            self.socket_path, timeout=self.connect_timeout
+        response = protocol.request_over_socket(
+            self.socket_path, message,
+            timeout=self.response_timeout,
+            connect_timeout=self.connect_timeout,
         )
-        try:
-            sock.settimeout(self.response_timeout)
-            protocol.send_message(sock, message)
-            rfile = sock.makefile("rb")
-            try:
-                response = protocol.recv_message(rfile)
-            finally:
-                rfile.close()
-        finally:
-            sock.close()
         if response is None:
             raise ConnectionError("server closed the connection mid-request")
         return response

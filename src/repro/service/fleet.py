@@ -35,6 +35,13 @@ discipline at the process boundary:
   it; the forwarding side observes the severed connection and takes the
   requeue path above.
 
+The supervisor's front door is the server's: it subclasses the same
+socket front end (bind, accept, the ``ping``/``status``/``shutdown``
+ops, the draining refusal and the listener teardown), so a malformed
+frame or unknown op gets the same answer from either, and only
+admission (``max_in_flight`` shedding, then forwarding) and the drain
+step (wait out in-flight forwards, stop the workers) are its own.
+
 The fault hooks are ``fleet_faults`` — ``kill``/``hang``/``slowstart``
 specs (:data:`~repro.resilience.faults.FLEET_FAULT_KINDS`) that SIGKILL,
 wedge or slow workers at chosen dispatch arrivals — and
@@ -57,7 +64,7 @@ from typing import List, Optional, Tuple
 from repro.errors import QuarantinedRequest
 from repro.resilience.faults import FaultPlan
 from repro.service import protocol
-from repro.service.server import CompileServer, _Connection, _Stats
+from repro.service.server import CompileServer, _Connection, _FrontEnd, _Stats
 from repro.service.supervisor import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_TIMEOUT,
@@ -115,7 +122,7 @@ class _FleetStats(_Stats):
     )
 
 
-class FleetSupervisor:
+class FleetSupervisor(_FrontEnd):
     """The fleet front end: accept, shard, forward, recover.
 
     Parameters mirror :class:`CompileServer` where they exist there;
@@ -123,6 +130,9 @@ class FleetSupervisor:
     breaker knobs, ``crash_dir``, ``worker_inject``) are passed through
     to each spawned worker's command line.
     """
+
+    _KIND = "fleet"
+    _PING = {"fleet": True}
 
     def __init__(
         self,
@@ -150,7 +160,7 @@ class FleetSupervisor:
         cache_dir: Optional[str] = None,
         lease_ttl: Optional[float] = None,
     ):
-        self.socket_path = socket_path or protocol.default_socket_path()
+        super().__init__(socket_path, _FleetStats())
         self.run_dir = run_dir or tempfile.mkdtemp(prefix="repro-fleet-")
         os.makedirs(self.run_dir, exist_ok=True)
         self.default_deadline = default_deadline
@@ -171,7 +181,6 @@ class FleetSupervisor:
             max_in_flight if max_in_flight is not None
             else max(1, workers) * max(1, queue_limit)
         )
-        self.stats = _FleetStats()
         self.supervisor_log = os.path.join(self.run_dir, "supervisor.log")
         self._log_lock = threading.Lock()
         self._workers: List[Worker] = []
@@ -198,14 +207,6 @@ class FleetSupervisor:
                 backoff_base=restart_backoff_base,
                 backoff_cap=restart_backoff_cap,
             ))
-        self._listener = None
-        self._threads: List[threading.Thread] = []
-        self._connections: set = set()
-        self._conn_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._stopped = threading.Event()
-        self._shutdown_lock = threading.Lock()
-        self._started_at: Optional[float] = None
         self._local: Optional[CompileServer] = None
         self._local_lock = threading.Lock()
 
@@ -221,77 +222,27 @@ class FleetSupervisor:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
-        self._listener = protocol.bind(self.socket_path)
-        self._started_at = time.monotonic()
+        self._listen()
         self._log(
             f"fleet up on {self.socket_path}: {len(self._workers)} "
             f"workers, run dir {self.run_dir}"
         )
         for worker in self._workers:
             self._spawn(worker)
-        for target, name in (
-            (self._accept_loop, "fleet-accept"),
-            (self._monitor_loop, "fleet-monitor"),
+        self._spawn_thread(self._monitor_loop, "fleet-monitor")
+
+    def _drain(self) -> None:
+        """Wait out in-flight forwards, then stop the workers."""
+        self._log("fleet shutting down")
+        drain_until = time.monotonic() + 30.0
+        while (
+            self.stats.snapshot()["in_flight"] > 0
+            and time.monotonic() < drain_until
         ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def serve_forever(self) -> None:
-        self.start()
-        try:
-            self._stopped.wait()
-        except KeyboardInterrupt:
-            self.shutdown()
-
-    def shutdown(self) -> None:
-        """Stop accepting, drain in-flight forwards, stop the workers."""
-        with self._shutdown_lock:
-            if self._stopped.is_set():
-                return
-            self._stopping.set()
-            self._log("fleet shutting down")
-            if self._listener is not None:
-                try:
-                    self._listener.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    nudge = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    nudge.settimeout(0.25)
-                    nudge.connect(self.socket_path)
-                    nudge.close()
-                except OSError:
-                    pass
-                try:
-                    self._listener.close()
-                except OSError:
-                    pass
-            drain_until = time.monotonic() + 30.0
-            while (
-                self.stats.snapshot()["in_flight"] > 0
-                and time.monotonic() < drain_until
-            ):
-                time.sleep(0.05)
-            for worker in self._workers:
-                worker.stop()
-            for thread in self._threads:
-                if thread is not threading.current_thread():
-                    thread.join(timeout=10.0)
-            with self._conn_lock:
-                connections = list(self._connections)
-            for conn in connections:
-                conn.close()
-            try:
-                os.unlink(self.socket_path)
-            except OSError:
-                pass
-            self._log("fleet stopped")
-            self._stopped.set()
-
-    @property
-    def running(self) -> bool:
-        return self._started_at is not None and not self._stopped.is_set()
+            time.sleep(0.05)
+        for worker in self._workers:
+            worker.stop()
+        self._log("fleet stopped")
 
     # -- worker management --------------------------------------------------
     def _spawn(self, worker: Worker) -> None:
@@ -345,114 +296,30 @@ class FleetSupervisor:
         """Worker index serving this request's (machine, config) key."""
         return shard_index(request, len(self._workers))
 
-    # -- accept / connection handling ---------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                break
-            conn = _Connection(sock)
-            with self._conn_lock:
-                self._connections.add(conn)
-            thread = threading.Thread(
-                target=self._connection_loop,
-                args=(conn,),
-                name="fleet-conn",
-                daemon=True,
-            )
-            thread.start()
-
-    def _connection_loop(self, conn: _Connection) -> None:
-        try:
-            while True:
-                try:
-                    request = protocol.recv_message(conn.rfile)
-                except protocol.ProtocolError as exc:
-                    self.stats.bump("protocol_errors")
-                    conn.send(protocol.make_response(
-                        None, protocol.STATUS_ERROR,
-                        error=str(exc), retryable=False,
-                    ))
-                    return
-                except OSError:
-                    return
-                if request is None:
-                    return
-                self._dispatch(conn, request)
-        finally:
-            with self._conn_lock:
-                self._connections.discard(conn)
-            conn.close()
-
-    def _dispatch(self, conn: _Connection, request: dict) -> None:
+    # -- admission ----------------------------------------------------------
+    def _submit(self, conn: _Connection, request: dict) -> None:
         received_at = time.monotonic()
-        request_id = request.get("id")
-        complaint = protocol.validate_request(request)
-        if complaint is not None:
-            self.stats.bump("protocol_errors")
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_ERROR,
-                error=complaint, retryable=False,
-            ))
-            return
-        op = request["op"]
-        if op == "ping":
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_OK, pong=True, fleet=True,
-            ))
-            return
-        if op == "status":
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_OK, **self._status_payload()
-            ))
-            return
-        if op == "shutdown":
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_OK, stopping=True,
-            ))
-            threading.Thread(target=self.shutdown, daemon=True).start()
-            return
-        if self._stopping.is_set():
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_SHUTTING_DOWN,
-                error="fleet is draining",
-            ))
-            return
         if self.stats.snapshot()["in_flight"] >= self.max_in_flight:
-            self.stats.bump("rejected")
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_REJECTED,
+            response = protocol.make_response(
+                request.get("id"), protocol.STATUS_REJECTED,
                 error=(
                     f"fleet has {self.max_in_flight} requests in "
                     "flight; retry with backoff"
                 ),
-            ))
-            return
-        self.stats.bump("accepted")
-        self.stats.bump("in_flight")
-        try:
-            response = self._forward(request, received_at)
-        except Exception as exc:  # noqa: BLE001 — the fleet must answer
-            self.stats.bump("errors")
-            response = protocol.make_response(
-                request_id, protocol.STATUS_ERROR,
-                error=f"{type(exc).__name__}: {exc}", retryable=False,
             )
-        finally:
-            self.stats.bump("in_flight", -1)
-        status = response.get("status")
-        if status in protocol.SERVED_STATUSES:
-            self.stats.bump("completed")
-            self.stats.bump(
-                "ok" if status == protocol.STATUS_OK else "degraded"
-            )
-        elif status == protocol.STATUS_TIMEOUT:
-            self.stats.bump("timeouts")
-        elif status == protocol.STATUS_REJECTED:
-            self.stats.bump("rejected")
-        elif status != protocol.STATUS_SHUTTING_DOWN:
-            self.stats.bump("errors")
+        else:
+            self.stats.bump("accepted")
+            self.stats.bump("in_flight")
+            try:
+                response = self._forward(request, received_at)
+            except Exception as exc:  # noqa: BLE001 — the fleet must answer
+                response = protocol.make_response(
+                    request.get("id"), protocol.STATUS_ERROR,
+                    error=f"{type(exc).__name__}: {exc}", retryable=False,
+                )
+            finally:
+                self.stats.bump("in_flight", -1)
+        self.stats.record(response)
         conn.send(response)
 
     # -- forwarding with crash recovery -------------------------------------
@@ -766,11 +633,6 @@ class FleetSupervisor:
 
     # -- status -------------------------------------------------------------
     def _status_payload(self, scrape: bool = True) -> dict:
-        counts = self.stats.snapshot()
-        uptime = (
-            time.monotonic() - self._started_at
-            if self._started_at is not None else 0.0
-        )
         workers = []
         for worker in self._workers:
             info = worker.describe()
@@ -808,7 +670,7 @@ class FleetSupervisor:
                 "socket": self.socket_path,
                 "pid": os.getpid(),
                 "workers": len(self._workers),
-                "uptime_seconds": round(uptime, 3),
+                "uptime_seconds": round(self._uptime(), 3),
                 "stopping": self._stopping.is_set(),
                 "run_dir": self.run_dir,
                 "supervisor_log": self.supervisor_log,
@@ -823,7 +685,7 @@ class FleetSupervisor:
                 ),
                 "cache_dir": self.cache_dir,
                 "lease_ttl": self.lease_ttl,
-                **counts,
+                **self.stats.snapshot(),
             },
             "cache": cache,
             "workers": workers,

@@ -31,6 +31,12 @@ Robustness properties, in the order a request meets them:
   recompiles under ``on_pass_failure='fallback'`` and returns a correct,
   less-optimized program with ``status='degraded'``.
 
+The socket side (bind, accept, the inline ``ping``/``status``/
+``shutdown`` ops, the draining refusal, listener teardown) lives in
+:class:`_FrontEnd`, which the fleet supervisor
+(:mod:`repro.service.fleet`) shares; this module adds the queue and its
+workers.
+
 Workers share one artifact store (the compile cache) across requests.
 Its lease protocol dedups identical in-flight keys: two concurrent
 requests for the same (source, machine, config) compile once, and a
@@ -103,6 +109,16 @@ class _Stats:
         "timeouts", "errors", "protocol_errors", "in_flight",
     )
 
+    #: The counters one answered work request moves, by its status;
+    #: any status not listed is an error.
+    _BY_STATUS = {
+        protocol.STATUS_OK: ("completed", "ok"),
+        protocol.STATUS_DEGRADED: ("completed", "degraded"),
+        protocol.STATUS_TIMEOUT: ("timeouts",),
+        protocol.STATUS_REJECTED: ("rejected",),
+        protocol.STATUS_SHUTTING_DOWN: (),
+    }
+
     def __init__(self):
         self._lock = threading.Lock()
         self._counts = {field: 0 for field in self.FIELDS}
@@ -110,6 +126,13 @@ class _Stats:
     def bump(self, field: str, amount: int = 1) -> None:
         with self._lock:
             self._counts[field] += amount
+
+    def record(self, response: dict) -> None:
+        """Count one answered work request by its status."""
+        fields = self._BY_STATUS.get(response.get("status"), ("errors",))
+        with self._lock:
+            for field in fields:
+                self._counts[field] += 1
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -164,69 +187,26 @@ class LatencyRing:
         }
 
 
-class CompileServer:
-    """The long-running compile/simulate/bench service."""
+class _FrontEnd:
+    """The socket front end every service shares.
 
-    def __init__(
-        self,
-        socket_path: Optional[str] = None,
-        workers: int = DEFAULT_WORKERS,
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        breaker_threshold: int = DEFAULT_THRESHOLD,
-        breaker_cooldown: float = DEFAULT_COOLDOWN,
-        default_deadline: Optional[float] = None,
-        cache=None,
-        faults: Optional[FaultPlan] = None,
-        crash_dir: Optional[str] = None,
-        start_delay: float = 0.0,
-        worker_id: Optional[int] = None,
-        exit_with_parent: bool = False,
-        cache_dir: Optional[str] = None,
-        lease_ttl: Optional[float] = None,
-    ):
-        from repro.bench.cache import cache_enabled, default_cache_dir
-        from repro.sanitize import DiagnosticSink
-        from repro.service.artifacts import ArtifactStore
+    It binds the socket, accepts connections (one thread each), answers
+    the control ops (``ping``, ``status``, ``shutdown``) inline, refuses
+    work while draining, and tears the listener down on shutdown.  A
+    subclass supplies the rest: ``start`` (bind via :meth:`_listen`,
+    then its own threads), ``_submit`` (take one validated work
+    request), ``_drain`` (finish or stop in-flight work before the
+    threads are joined) and ``_status_payload``.
+    """
 
+    #: Names the threads and the refusal a draining service gives.
+    _KIND = "server"
+    #: Extra fields of the ``ping`` answer.
+    _PING: Dict[str, object] = {}
+
+    def __init__(self, socket_path: Optional[str], stats: _Stats):
         self.socket_path = socket_path or protocol.default_socket_path()
-        self.workers = max(1, workers)
-        # Fleet-worker knobs: 'start_delay' delays the socket bind (the
-        # 'slowstart' fleet fault), 'worker_id' tags status payloads so
-        # the supervisor can tell shards apart, and 'exit_with_parent'
-        # makes the process die when its supervisor does (orphan
-        # watchdog polling the original parent pid).
-        self.start_delay = max(0.0, start_delay)
-        self.worker_id = worker_id
-        self.exit_with_parent = exit_with_parent
-        self._parent_pid = os.getppid() if exit_with_parent else None
-        self.queue_limit = max(1, queue_limit)
-        self.default_deadline = default_deadline
-        if cache is not None:
-            self.cache = cache
-        elif cache_enabled():
-            # The server's own store, built with its lease TTL (the
-            # TTL also sets the store's wait and poll intervals, so it
-            # is never assigned on a live store; a passed ``cache``
-            # keeps its own).  An explicit directory (the fleet's) is
-            # honoured even when it differs from $REPRO_CACHE_DIR.
-            self.cache = ArtifactStore(
-                cache_dir or default_cache_dir(), ttl=lease_ttl,
-                sink=DiagnosticSink(),
-            )
-        else:
-            self.cache = None  # REPRO_CACHE=off
-        self.latency = LatencyRing()
-        self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown)
-        # One long-lived plan shared by every compile, so arrival counts
-        # span requests: 'coalesce=raise@3' means "the third coalesce
-        # the *server* runs", which is how tests stage transient faults
-        # that the breaker then recovers from.
-        self.faults = (
-            faults if faults is not None else FaultPlan.from_env()
-        )
-        self.crash_dir = crash_dir or os.environ.get("REPRO_CRASH_DIR")
-        self.stats = _Stats()
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_limit)
+        self.stats = stats
         self._listener = None
         self._threads: List[threading.Thread] = []
         self._connections: set = set()
@@ -235,49 +215,18 @@ class CompileServer:
         self._stopped = threading.Event()
         self._shutdown_lock = threading.Lock()
         self._started_at: Optional[float] = None
-        self._tls = threading.local()
-        if self.faults is not None:
-            # One shared, thread-aware cancellation probe: each worker
-            # parks its own deadline in thread-local state, so a 'sleep'
-            # fault in one request can never be cut by another's clock.
-            self.faults.cancel_check = self._cancel
-        if (
-            self.faults is not None and self.cache is not None
-            and self.faults.disk_only()
-        ):
-            # Disk-fault plans target the artifact store itself, so the
-            # store draws from the same long-lived plan the server owns
-            # (arrival counts span requests, as with pass sites).
-            self.cache.faults = self.faults
 
     # -- lifecycle ----------------------------------------------------------
-    def start(self) -> None:
-        """Bind the socket and spawn the accept + worker threads."""
-        if self.start_delay:
-            time.sleep(self.start_delay)
+    def _listen(self) -> None:
+        """Bind the socket and start the accept thread."""
         self._listener = protocol.bind(self.socket_path)
         self._started_at = time.monotonic()
-        if self.exit_with_parent:
-            watchdog = threading.Thread(
-                target=self._orphan_watch,
-                name="repro-orphan-watch",
-                daemon=True,
-            )
-            watchdog.start()
-            self._threads.append(watchdog)
-        accept = threading.Thread(
-            target=self._accept_loop, name="repro-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
-        for index in range(self.workers):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-worker-{index}",
-                daemon=True,
-            )
-            worker.start()
-            self._threads.append(worker)
+        self._spawn_thread(self._accept_loop, f"{self._KIND}-accept")
+
+    def _spawn_thread(self, target, name: str) -> None:
+        thread = threading.Thread(target=target, name=name, daemon=True)
+        thread.start()
+        self._threads.append(thread)
 
     def serve_forever(self) -> None:
         """start() and block until a shutdown request (or Ctrl-C)."""
@@ -288,7 +237,7 @@ class CompileServer:
             self.shutdown()
 
     def shutdown(self) -> None:
-        """Graceful stop: refuse new work, drain the queue, then exit.
+        """Graceful stop: refuse new work, drain, then exit.
 
         Idempotent and thread-safe; callable from a connection thread
         (the ``shutdown`` op spawns it on a side thread to avoid
@@ -307,20 +256,18 @@ class CompileServer:
                 except OSError:
                     pass
                 try:
-                    nudge = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    nudge.settimeout(0.25)
-                    nudge.connect(self.socket_path)
-                    nudge.close()
+                    with socket.socket(
+                        socket.AF_UNIX, socket.SOCK_STREAM
+                    ) as nudge:
+                        nudge.settimeout(0.25)
+                        nudge.connect(self.socket_path)
                 except OSError:
                     pass
                 try:
                     self._listener.close()
                 except OSError:
                     pass
-            # Sentinels queue *behind* already-accepted work: FIFO order
-            # means every accepted request is answered before exit.
-            for _ in range(self.workers):
-                self._queue.put(_SHUTDOWN)
+            self._drain()
             for thread in self._threads:
                 if thread is not threading.current_thread():
                     thread.join(timeout=30.0)
@@ -338,20 +285,10 @@ class CompileServer:
     def running(self) -> bool:
         return self._started_at is not None and not self._stopped.is_set()
 
-    def _orphan_watch(self) -> None:
-        """Exit hard if the supervisor that spawned us disappears.
-
-        A fleet worker with no supervisor has no one to restart it, no
-        one heartbeating it, and a socket nobody routes to; lingering
-        would leak a process per supervisor crash.  Reparenting (getppid
-        changes, typically to 1) is the portable death signal.
-        """
-        while not self._stopping.is_set():
-            if os.getppid() != self._parent_pid:
-                os._exit(0)
-            self._stopped.wait(0.5)
-            if self._stopped.is_set():
-                return
+    def _uptime(self) -> float:
+        if self._started_at is None:
+            return 0.0
+        return time.monotonic() - self._started_at
 
     # -- accept / connection handling ---------------------------------------
     def _accept_loop(self) -> None:
@@ -366,7 +303,7 @@ class CompileServer:
             thread = threading.Thread(
                 target=self._connection_loop,
                 args=(conn,),
-                name="repro-conn",
+                name=f"{self._KIND}-conn",
                 daemon=True,
             )
             thread.start()
@@ -406,41 +343,152 @@ class CompileServer:
         op = request["op"]
         if op == "ping":
             conn.send(protocol.make_response(
-                request_id, protocol.STATUS_OK, pong=True,
+                request_id, protocol.STATUS_OK, pong=True, **self._PING
             ))
-            return
-        if op == "status":
+        elif op == "status":
             conn.send(protocol.make_response(
                 request_id, protocol.STATUS_OK, **self._status_payload()
             ))
-            return
-        if op == "shutdown":
+        elif op == "shutdown":
             conn.send(protocol.make_response(
                 request_id, protocol.STATUS_OK, stopping=True,
             ))
             threading.Thread(target=self.shutdown, daemon=True).start()
-            return
-        if self._stopping.is_set():
+        elif self._stopping.is_set():
             conn.send(protocol.make_response(
                 request_id, protocol.STATUS_SHUTTING_DOWN,
-                error="server is draining",
+                error=f"{self._KIND} is draining",
             ))
-            return
-        item = (request, conn, time.monotonic())
+        else:
+            self._submit(conn, request)
+
+
+class CompileServer(_FrontEnd):
+    """The long-running compile/simulate/bench service."""
+
+    def __init__(
+        self,
+        socket_path: Optional[str] = None,
+        workers: int = DEFAULT_WORKERS,
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
+        breaker_threshold: int = DEFAULT_THRESHOLD,
+        breaker_cooldown: float = DEFAULT_COOLDOWN,
+        default_deadline: Optional[float] = None,
+        cache=None,
+        faults: Optional[FaultPlan] = None,
+        crash_dir: Optional[str] = None,
+        start_delay: float = 0.0,
+        worker_id: Optional[int] = None,
+        exit_with_parent: bool = False,
+        cache_dir: Optional[str] = None,
+        lease_ttl: Optional[float] = None,
+    ):
+        from repro.bench.cache import cache_enabled, default_cache_dir
+        from repro.sanitize import DiagnosticSink
+        from repro.service.artifacts import ArtifactStore
+
+        super().__init__(socket_path, _Stats())
+        self.workers = max(1, workers)
+        # Fleet-worker knobs: 'start_delay' delays the socket bind (the
+        # 'slowstart' fleet fault), 'worker_id' tags status payloads so
+        # the supervisor can tell shards apart, and 'exit_with_parent'
+        # makes the process die when its supervisor does (orphan
+        # watchdog polling the original parent pid).
+        self.start_delay = max(0.0, start_delay)
+        self.worker_id = worker_id
+        self.exit_with_parent = exit_with_parent
+        self._parent_pid = os.getppid() if exit_with_parent else None
+        self.queue_limit = max(1, queue_limit)
+        self.default_deadline = default_deadline
+        if cache is not None:
+            self.cache = cache
+        elif cache_enabled():
+            # The server's own store, built with its lease TTL (the
+            # TTL also sets the store's wait and poll intervals, so it
+            # is never assigned on a live store; a passed ``cache``
+            # keeps its own).  An explicit directory (the fleet's) is
+            # honoured even when it differs from $REPRO_CACHE_DIR.
+            self.cache = ArtifactStore(
+                cache_dir or default_cache_dir(), ttl=lease_ttl,
+                sink=DiagnosticSink(),
+            )
+        else:
+            self.cache = None  # REPRO_CACHE=off
+        self.latency = LatencyRing()
+        self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown)
+        # One long-lived plan shared by every compile, so arrival counts
+        # span requests: 'coalesce=raise@3' means "the third coalesce
+        # the *server* runs", which is how tests stage transient faults
+        # that the breaker then recovers from.
+        self.faults = (
+            faults if faults is not None else FaultPlan.from_env()
+        )
+        self.crash_dir = crash_dir or os.environ.get("REPRO_CRASH_DIR")
+        self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_limit)
+        self._tls = threading.local()
+        if self.faults is not None:
+            # One shared, thread-aware cancellation probe: each worker
+            # parks its own deadline in thread-local state, so a 'sleep'
+            # fault in one request can never be cut by another's clock.
+            self.faults.cancel_check = self._cancel
+        if (
+            self.faults is not None and self.cache is not None
+            and self.faults.disk_only()
+        ):
+            # Disk-fault plans target the artifact store itself, so the
+            # store draws from the same long-lived plan the server owns
+            # (arrival counts span requests, as with pass sites).
+            self.cache.faults = self.faults
+
+    # -- lifecycle ----------------------------------------------------------
+    def start(self) -> None:
+        """Bind the socket and spawn the accept + worker threads."""
+        if self.start_delay:
+            time.sleep(self.start_delay)
+        self._listen()
+        if self.exit_with_parent:
+            self._spawn_thread(self._orphan_watch, "repro-orphan-watch")
+        for index in range(self.workers):
+            self._spawn_thread(self._worker_loop, f"repro-worker-{index}")
+
+    def _drain(self) -> None:
+        # Sentinels queue *behind* already-accepted work: FIFO order
+        # means every accepted request is answered before exit.
+        for _ in range(self.workers):
+            self._queue.put(_SHUTDOWN)
+
+    def _orphan_watch(self) -> None:
+        """Exit hard if the supervisor that spawned us disappears.
+
+        A fleet worker with no supervisor has no one to restart it, no
+        one heartbeating it, and a socket nobody routes to; lingering
+        would leak a process per supervisor crash.  Reparenting (getppid
+        changes, typically to 1) is the portable death signal.
+        """
+        while not self._stopping.is_set():
+            if os.getppid() != self._parent_pid:
+                os._exit(0)
+            self._stopped.wait(0.5)
+            if self._stopped.is_set():
+                return
+
+    # -- admission ----------------------------------------------------------
+    def _submit(self, conn: _Connection, request: dict) -> None:
         try:
-            self._queue.put_nowait(item)
+            self._queue.put_nowait((request, conn, time.monotonic()))
             self.stats.bump("accepted")
         except queue.Full:
             # Load shedding: answer now, let the client back off.
-            self.stats.bump("rejected")
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_REJECTED,
+            response = protocol.make_response(
+                request.get("id"), protocol.STATUS_REJECTED,
                 error=(
                     f"request queue is full "
                     f"({self.queue_limit} outstanding); retry with backoff"
                 ),
                 queue_limit=self.queue_limit,
-            ))
+            )
+            self.stats.record(response)
+            conn.send(response)
 
     # -- deadline plumbing --------------------------------------------------
     def _cancel(self) -> None:
@@ -476,7 +524,6 @@ class CompileServer:
             try:
                 response = self._process(request, enqueued_at)
             except Exception as exc:  # noqa: BLE001 — a worker must survive anything
-                self.stats.bump("errors")
                 response = protocol.make_response(
                     request.get("id"), protocol.STATUS_ERROR,
                     error=f"{type(exc).__name__}: {exc}",
@@ -488,6 +535,7 @@ class CompileServer:
                 # Queue time spends deadline budget, so it counts here
                 # too: the ring measures what the *client* experienced.
                 self.latency.record(time.monotonic() - enqueued_at)
+            self.stats.record(response)
             conn.send(response)
 
     def _process(self, request: dict, enqueued_at: float) -> dict:
@@ -503,7 +551,6 @@ class CompileServer:
             else:
                 fields = self._do_bench(request)
         except DeadlineExceeded as exc:
-            self.stats.bump("timeouts")
             return protocol.make_response(
                 request_id, protocol.STATUS_TIMEOUT,
                 error=str(exc), deadline=budget,
@@ -513,7 +560,6 @@ class CompileServer:
             cls = classify_failure(
                 exc, "simulate" if op == "simulate" else "compile"
             )
-            self.stats.bump("errors")
             return protocol.make_response(
                 request_id, protocol.STATUS_ERROR,
                 error=str(exc), error_type=type(exc).__name__,
@@ -523,8 +569,6 @@ class CompileServer:
             protocol.STATUS_DEGRADED if fields.pop("_degraded", False)
             else protocol.STATUS_OK
         )
-        self.stats.bump("completed")
-        self.stats.bump("degraded" if status != protocol.STATUS_OK else "ok")
         fields.setdefault(
             "wall_seconds", round(time.monotonic() - started, 6)
         )
@@ -752,24 +796,19 @@ class CompileServer:
 
     # -- status -------------------------------------------------------------
     def _status_payload(self) -> dict:
-        counts = self.stats.snapshot()
-        uptime = (
-            time.monotonic() - self._started_at
-            if self._started_at is not None else 0.0
-        )
         return {
             "server": {
                 "socket": self.socket_path,
                 "pid": os.getpid(),
                 "worker_id": self.worker_id,
-                "uptime_seconds": round(uptime, 3),
+                "uptime_seconds": round(self._uptime(), 3),
                 "workers": self.workers,
                 "queue_depth": self._queue.qsize(),
                 "queue_limit": self.queue_limit,
                 "default_deadline": self.default_deadline,
                 "stopping": self._stopping.is_set(),
                 "faults": str(self.faults) if self.faults else "",
-                **counts,
+                **self.stats.snapshot(),
             },
             "breakers": self.breakers.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,

@@ -53,6 +53,27 @@ def test_run_command(kernel_file, capsys):
     assert "cycles:" in out
 
 
+def test_run_dump_uses_the_array_width(kernel_file, capsys):
+    assert main([
+        "run", kernel_file, "--entry", "dot",
+        "--array", "a:2:1,2,3,-4", "--array", "b:4:5,6",
+        "--args", "a", "b", "2", "--dump", "2",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "result: 5" in out  # dot reads b's words as shorts
+    assert "a[0:2] = [1, 2]" in out
+    assert "b[0:2] = [5, 6]" in out
+
+
+def test_run_rejects_a_bad_array_spec(kernel_file, capsys):
+    assert main([
+        "run", kernel_file, "--entry", "dot",
+        "--array", "a:x:1,2", "--args", "a", "2",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "error: bad array spec 'a:x:1,2'" in err
+
+
 def test_run_with_regalloc_and_force(kernel_file, capsys):
     assert main([
         "run", kernel_file, "--entry", "dot",

@@ -11,6 +11,7 @@ paths ``python -m repro serve --fleet`` and ``chaos --fleet`` run.
 import json
 import os
 import signal
+import socket
 import threading
 import time
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.resilience.bundle import (
     prune_bundles,
     write_quarantine_bundle,
 )
+from repro.service import protocol
 from repro.service.client import ServiceClient, wait_until_ready
 from repro.service.fleet import FleetSupervisor, shard_index, shard_key
 from repro.service.supervisor import (
@@ -442,6 +444,24 @@ class TestLiveFleet:
         response = fleet_client(supervisor).request("ping")
         assert response["status"] == "ok"
         assert response["fleet"] is True
+
+    def test_front_door_answers_malformed_requests(self, fleet):
+        supervisor = fleet()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(supervisor.socket_path)
+            sock.sendall(b"not json {\n")
+            with sock.makefile("rb") as rfile:
+                garbled = protocol.recv_message(rfile)
+        assert garbled["status"] == "error"
+        assert "undecodable frame" in garbled["error"]
+        assert garbled["retryable"] is False
+        client = fleet_client(supervisor)
+        unknown = client._attempt({"id": 9, "op": "explode"})
+        assert unknown["status"] == "error"
+        assert "unknown op" in unknown["error"]
+        assert unknown["retryable"] is False
+        assert client.status()["fleet"]["protocol_errors"] == 2
 
     def test_kill_mid_compile_requeues_exactly_once(self, fleet):
         request_key = {

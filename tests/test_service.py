@@ -7,9 +7,11 @@ the real :class:`ServiceClient` — the same code paths ``python -m repro
 serve`` / ``submit`` exercise.
 """
 
+import gc
 import os
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -431,6 +433,36 @@ class TestServerBasics:
         assert info["ok"] >= 1
         assert status["cache"]["entries"] >= 1
         assert isinstance(status["breakers"], dict)
+
+    def test_shutdown_closes_every_socket(self, tmp_path):
+        # Stopping by call and by the shutdown op; the self-connect
+        # nudge that wakes the accept thread must be closed either way.
+        before = set(threading.enumerate())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for index in range(2):
+                server = CompileServer(
+                    socket_path=str(tmp_path / f"leak{index}.sock"),
+                    cache=ArtifactStore(tmp_path / "cache"),
+                )
+                server.start()
+                assert wait_until_ready(server.socket_path, timeout=10.0)
+                if index == 0:
+                    server.shutdown()
+                else:
+                    client = client_for(server, retries=0)
+                    assert client.shutdown_server()["status"] == "ok"
+                    assert server._stopped.wait(timeout=15)
+            # The op's shutdown runs on a side thread: let it return.
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=15)
+                assert not thread.is_alive(), thread.name
+            gc.collect()
+        leaks = [
+            str(warning.message) for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+        assert leaks == []
 
     def test_graceful_shutdown_drains_accepted_work(self, service):
         server = service(workers=1)
